@@ -1,9 +1,9 @@
 """Reconstruction from candidate neighborhoods: join, guess, grow shells.
 
 Given per-piece candidate statuses, mutually confirmed neighbor claims are
-joined into rigid components. The largest component must contain a square
-of core size; each way to place that square is tried in turn, growing the
-periphery ring by ring from unique color matches. A solve succeeds only
+joined into rigid components. Each placement of a core-sized square that
+covers the most cells of the largest component is tried in turn, growing
+the periphery ring by ring from unique color matches. A solve succeeds only
 when a complete placement passes the independent feasibility check.
 """
 
@@ -16,15 +16,11 @@ from .grid import Assembly, Coord, Direction, PieceBag, is_feasible
 from .windows import DEFAULT_BUDGET, BudgetExceededError, CandidateStatus, candidate_neighborhoods
 
 
-class OffsetConflictError(Exception):
-    """Two derivations of a piece's relative position disagree."""
-
-
 class ShellStuck(Exception):
     """A core guess cannot be completed; try the next one."""
 
-    def __init__(self, shell: int, side: str | None, reason: str):
-        super().__init__(f"stuck at shell {shell}" + (f" ({side} side)" if side else "") + f": {reason}")
+    def __init__(self, shell: int, side: str, reason: str):
+        super().__init__(f"stuck at shell {shell} ({side} side): {reason}")
         self.shell = shell
         self.side = side
         self.reason = reason
@@ -35,19 +31,10 @@ class PartialAssembly:
     """A rigid component on the lattice, normalized to start at (0, 0)."""
 
     placement: dict[Coord, int]
-    n: int | None = None
-    k: int | None = None
 
     @property
     def size(self) -> int:
         return len(self.placement)
-
-
-@dataclass(frozen=True)
-class CoreGuess:
-    """Component-local anchor of a core-sized square (bottom-left cell)."""
-
-    anchor: Coord
 
 
 @dataclass(frozen=True)
@@ -61,32 +48,17 @@ class SolveOutcome:
         return self.assembly is not None
 
 
-def join_neighbors(cands: dict[int, CandidateStatus]) -> list[PartialAssembly]:
-    """Rigid components of the mutual-adjacency relation.
-
-    Two pieces are joined when each names the other in the matching
-    direction of its unique neighborhood. Components are realized as
-    placements on the lattice; disagreeing position derivations raise
-    :class:`OffsetConflictError`. Sorted largest first, then by smallest
-    piece id.
-    """
-    for pid, st in cands.items():
-        if st.kind == "multiple":
-            raise ValueError(f"piece {pid} has several candidate neighborhoods")
-    return mutual_components(cands, strict=True)
-
-
-def mutual_components(
-    cands: dict[int, CandidateStatus], strict: bool = False
-) -> list[PartialAssembly]:
-    """Components of the stable mutual-adjacency relation.
+def mutual_components(cands: dict[int, CandidateStatus]) -> list[PartialAssembly]:
+    """Rigid components of the stable mutual-adjacency relation.
 
     A directed claim counts only where every window of a piece names the
     same neighbor (for unique statuses: its neighborhood); a link needs
     both directions. With no multiple statuses this is exactly the
-    unique-neighborhood join. In strict mode inconsistent derivations
-    raise :class:`OffsetConflictError`; otherwise the conflicting link is
-    dropped and joining continues.
+    unique-neighborhood join. Pieces are attached breadth first from the
+    smallest unattached id; a link is dropped when its far piece is
+    already attached or its cell is already taken. Components are
+    normalized to start at (0, 0) and sorted largest first, then by
+    smallest piece id.
     """
     mutual: dict[int, list[tuple[Direction, int]]] = {pid: [] for pid in cands}
     for pid, st in cands.items():
@@ -117,22 +89,7 @@ def mutual_components(
             for d, other in mutual[pid]:
                 (dx, dy) = d.step
                 pos = (x + dx, y + dy)
-                if other in offsets:
-                    if offsets[other] != pos:
-                        if strict:
-                            raise OffsetConflictError(
-                                f"piece {other} derived at both {offsets[other]} and {pos}"
-                            )
-                        continue  # inconsistent evidence; drop the link
-                    continue
-                if other in seen:
-                    continue  # already attached to an earlier component
-                holder = cells.get(pos)
-                if holder is not None:
-                    if strict:
-                        raise OffsetConflictError(
-                            f"pieces {holder} and {other} derived at the same cell {pos}"
-                        )
+                if other in seen or pos in cells:
                     continue
                 offsets[other] = pos
                 cells[pos] = other
@@ -148,40 +105,23 @@ def mutual_components(
     return components
 
 
-def core_guesses(comp: PartialAssembly, n: int, k: int) -> list[CoreGuess]:
-    """All anchors of a fully occupied core-sized square in the component."""
+def core_guesses(comp: PartialAssembly, n: int, k: int) -> list[Coord]:
+    """Anchors of the core-sized squares covering the most component cells.
+
+    An anchor is a square's bottom-left cell; anchors run x-major, then y.
+    A fully occupied square wins whenever one exists. Otherwise the
+    component carries holes where window evidence was ambiguous; the
+    missing core pieces are recovered later by the shell rules (a hole
+    specifies up to four free edges).
+    """
     m = n - 2 * k
     if m < 1:
         raise ValueError("core size must be positive")
     cells = set(comp.placement)
-    if not cells:
-        return []
-    maxx = max(x for x, _ in cells)
-    maxy = max(y for _, y in cells)
-    guesses = []
-    for ax in range(0, maxx - m + 2):
-        for ay in range(0, maxy - m + 2):
-            if all((ax + dx, ay + dy) in cells for dx in range(m) for dy in range(m)):
-                guesses.append(CoreGuess((ax, ay)))
-    return guesses
-
-
-def _best_cover_guesses(comp: PartialAssembly, n: int, k: int) -> list[CoreGuess]:
-    """Anchors of core-sized squares covering the most component cells.
-
-    Used only when no square is fully occupied: the component may carry a
-    few holes where window evidence was ambiguous, and the missing pieces
-    are recovered later by the shell rules (a hole specifies up to four
-    free edges).
-    """
-    m = n - 2 * k
-    cells = set(comp.placement)
-    if not cells:
-        return []
     maxx = max(x for x, _ in cells)
     maxy = max(y for _, y in cells)
     best = 0
-    anchors: list[CoreGuess] = []
+    anchors: list[Coord] = []
     for ax in range(0, max(maxx - m + 2, 1)):
         for ay in range(0, max(maxy - m + 2, 1)):
             cover = sum(
@@ -189,10 +129,33 @@ def _best_cover_guesses(comp: PartialAssembly, n: int, k: int) -> list[CoreGuess
             )
             if cover > best:
                 best = cover
-                anchors = [CoreGuess((ax, ay))]
-            elif cover == best and cover:
-                anchors.append(CoreGuess((ax, ay)))
+                anchors = [(ax, ay)]
+            elif cover == best:
+                anchors.append((ax, ay))
     return anchors
+
+
+_SIDES = ("bottom", "right", "top", "left")
+
+
+def _ring(cell: Coord, n: int, k: int) -> tuple[int, int, int]:
+    """Shell, side index into ``_SIDES`` and position along the side.
+
+    Shell k is the board's boundary ring and shell 1 the ring around the
+    core; core cells get shell 0 or less, lower further in. A corner
+    belongs to the first side containing it. Sorting cells by this key
+    scans innermost rings first.
+    """
+    i, j = cell
+    d = min(i - 1, j - 1, n - i, n - j)
+    lo, hi = d + 1, n - d
+    if j == lo:
+        return k - d, 0, i
+    if i == hi:
+        return k - d, 1, j
+    if j == hi:
+        return k - d, 2, i
+    return k - d, 3, j
 
 
 def assemble_shells(
@@ -229,31 +192,13 @@ def assemble_shells(
     if len(pool) + len(core) != n * n or set(pool) & set(core.values()):
         raise ValueError("remaining pieces must be exactly the unplaced ids")
 
-    def depth(cell: Coord) -> int:
-        i, j = cell
-        return min(i - 1, j - 1, n - i, n - j)
-
-    def shell_of(cell: Coord) -> int:
-        return max(k - depth(cell), 0)
-
-    # innermost first, then bottom/right/top/left side order, then along the side
-    def scan_key(cell: Coord) -> tuple:
-        i, j = cell
-        d = depth(cell)
-        lo, hi = d + 1, n - d
-        if j == lo:
-            side, along = 0, i
-        elif i == hi:
-            side, along = 1, j
-        elif j == hi:
-            side, along = 2, i
-        else:
-            side, along = 3, j
-        return (-d, side, along)
+    def stuck(cell: Coord, reason: str) -> ShellStuck:
+        shell, side, _ = _ring(cell, n, k)
+        return ShellStuck(max(shell, 0), _SIDES[side], reason)
 
     open_cells = sorted(
         ((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if (i, j) not in placement),
-        key=scan_key,
+        key=lambda cell: _ring(cell, n, k),
     )
 
     while open_cells:
@@ -265,7 +210,7 @@ def assemble_shells(
                 still_open.append(cell)  # fewer than two free edges specified
                 continue
             if len(matches) == 0:
-                raise ShellStuck(shell_of(cell), _side_name(cell, n), "no matching piece")
+                raise stuck(cell, "no matching piece")
             if len(matches) > 1:
                 still_open.append(cell)
                 continue
@@ -279,8 +224,7 @@ def assemble_shells(
 
         seeded = _seed_any(pieces, placement, pool, open_cells)
         if seeded is None:
-            cell = open_cells[0]
-            raise ShellStuck(shell_of(cell), _side_name(cell, n), "no unique fill or seed")
+            raise stuck(open_cells[0], "no unique fill or seed")
         open_cells.remove(seeded)
 
     assert not pool, "every piece must be placed"
@@ -368,21 +312,6 @@ def _matches_at(
     return out
 
 
-def _side_name(cell: Coord, n: int) -> str | None:
-    i, j = cell
-    d = min(i - 1, j - 1, n - i, n - j)
-    lo, hi = d + 1, n - d
-    if j == lo:
-        return "bottom"
-    if i == hi:
-        return "right"
-    if j == hi:
-        return "top"
-    if i == lo:
-        return "left"
-    return None
-
-
 def solve(
     bag: PieceBag,
     n: int,
@@ -392,10 +321,13 @@ def solve(
 ) -> SolveOutcome:
     """Full reconstruction pipeline over a shuffled bag.
 
-    Pieces with several candidate neighborhoods mark the puzzle as
-    ambiguous; joining then relies only on direction claims shared by all
-    of a piece's windows, and if the pipeline still cannot finish, the
-    outcome is ``Failed(multiple_candidates)``. A returned assembly always
+    Mutually confirmed claims are joined, and every best-covering core
+    square of the largest component (see :func:`core_guesses`) is grown
+    in turn until one yields a feasible assembly. Pieces with several
+    candidate neighborhoods mark the puzzle as ambiguous; joining then
+    relies only on direction claims shared by all of a piece's windows,
+    and if the pipeline still cannot finish, the outcome is
+    ``Failed(multiple_candidates)``. A returned assembly always
     passes the independent feasibility check. Precomputed ``candidates``
     (from :func:`jigsolve.windows.candidate_neighborhoods`) may be
     supplied to avoid re-enumerating windows.
@@ -420,17 +352,10 @@ def solve(
     components = mutual_components(candidates)
     largest = components[0]
     guesses = core_guesses(largest, n, k)
-    had_full_square = bool(guesses)
-    if not guesses:
-        # no fully occupied square; fall back to the best-covered anchors
-        guesses = _best_cover_guesses(largest, n, k)
-    if not guesses:
-        return SolveOutcome(None, "multiple_candidates" if multiples else "no_core_square")
 
     m = n - 2 * k
     all_pids = set(range(n * n))
-    for tried, guess in enumerate(guesses, start=1):
-        ax, ay = guess.anchor
+    for tried, (ax, ay) in enumerate(guesses, start=1):
         core = {}
         for dx in range(m):
             for dy in range(m):
@@ -444,9 +369,10 @@ def solve(
             continue
         if is_feasible(bag, assembly):
             return SolveOutcome(assembly, guesses_tried=tried)
+    # every guess covers equally many cells, so the last core tells
     if multiples:
         reason = "multiple_candidates"
-    elif had_full_square:
+    elif len(core) == m * m:
         reason = "all_guesses_stuck"
     else:
         reason = "no_core_square"

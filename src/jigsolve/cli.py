@@ -110,12 +110,17 @@ def _cmd_analyze_window(args: argparse.Namespace) -> int:
         if args.infile:
             source.close()
     lines = [ln.strip() for ln in tokens if ln.strip()]
+    if not lines:
+        raise ValueError("empty window map: expected 'k' on the first line")
     k = int(lines[0])
     mapping = {}
     for line in lines[1:]:
-        lhs, rhs = line.split("->")
-        wx, wy = (int(t) for t in lhs.split())
-        px, py = (int(t) for t in rhs.split())
+        try:
+            lhs, rhs = line.split("->")
+            wx, wy = (int(t) for t in lhs.split())
+            px, py = (int(t) for t in rhs.split())
+        except ValueError:
+            raise ValueError(f"bad window map line {line!r}: expected 'wx wy -> px py'") from None
         mapping[(wx, wy)] = (px, py)
     wm = constraints.WindowMap(k, mapping)
     tiles = constraints.tiles_of(wm)
@@ -153,7 +158,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for override in args.set or []:
         key, _, value = override.partition("=")
         if not _:
-            raise SystemExit(f"bad --set override: {override!r}")
+            raise ValueError(f"bad --set override: {override!r}")
         options[key.strip()] = value.strip()
     config = experiments.config_from_options(options)
     with open(args.out, "w") as fh:

@@ -150,31 +150,9 @@ def _stats_of(graph: ConstraintGraph) -> ConstraintStats:
 
     assert all(d <= 2 for d in degree), "constraint graph degree bound violated"
 
-    comp_of = [find(ix) for ix in range(nv)]
-    comps = sorted(set(comp_of))
-    num_components = len(comps)
-
-    # rank, w and u are additive over components; compute per component
-    # and cross-check against the direct totals.
-    comp_nv = dict.fromkeys(comps, 0)
-    comp_w = dict.fromkeys(comps, 0)
-    comp_u = dict.fromkeys(comps, 0)
-    for ix in range(nv):
-        comp_nv[comp_of[ix]] += 1
-    for a, b in graph.edges:
-        ia, ib = index[a], index[b]
-        root = comp_of[ia]
-        comp_w[root] += 1
-        if degree[ia] == 1 or degree[ib] == 1:
-            comp_u[root] += 1
-
-    rank = sum(comp_nv[c] - 1 for c in comps)
-    assert rank == nv - num_components, "rank additivity violated"
-    w = sum(comp_w.values())
-    u = sum(comp_u.values())
-    assert w == len(graph.edges)
-
-    return ConstraintStats(nv, num_components, rank, w, u)
+    num_components = sum(1 for ix in range(nv) if parent[ix] == ix)
+    u = sum(1 for a, b in graph.edges if degree[index[a]] == 1 or degree[index[b]] == 1)
+    return ConstraintStats(nv, num_components, nv - num_components, len(graph.edges), u)
 
 
 def is_satisfied(graph: ConstraintGraph, puzzle: Puzzle) -> bool:

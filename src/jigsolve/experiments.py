@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
-from .assemble import OffsetConflictError, solve
+from .assemble import solve
 from .gen import generate
 from .grid import disassemble
 from .rng import mix_seed
@@ -52,8 +52,7 @@ def run_trial(n: int, q: int, k: int, seed: int, budget: int = DEFAULT_BUDGET) -
 
     The puzzle uses ``seed``; the shuffle uses ``mix_seed(seed, 1)``. One
     window enumeration is shared between the typicality check and the
-    solve. Failures (budget blowouts, offset conflicts) are recorded, not
-    raised.
+    solve. A budget blowout or a failed solve is recorded, not raised.
     """
     t0 = time.perf_counter()
     puzzle = generate(n, q, seed)
@@ -79,11 +78,8 @@ def run_trial(n: int, q: int, k: int, seed: int, budget: int = DEFAULT_BUDGET) -
         multi = sum(1 for st in statuses.values() if st.kind == "multiple")
         report = report_from_candidates(puzzle, planted, statuses, k, DEFAULT_C_PRIME)
         typical = report.typical
-        try:
-            outcome = solve(bag, n, k, budget, candidates=statuses)
-        except OffsetConflictError:
-            outcome = None
-        if outcome is not None and outcome.solved:
+        outcome = solve(bag, n, k, budget, candidates=statuses)
+        if outcome.solved:
             solved = True
             planted_match = outcome.assembly.placement == planted.placement
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -92,9 +92,6 @@ class Piece(NamedTuple):
     up: int
     left: int
     down: int
-
-    def color(self, d: Direction) -> int:
-        return self[d]
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,13 +330,3 @@ def read_assembly(inp: TextIO) -> Assembly:
             placement[(i, j)] = int(tokens[pos])
             pos += 1
     return Assembly(placement)
-
-
-def iter_internal_edges(n: int) -> Iterable[EdgeId]:
-    """All internal (non-boundary) edge ids of an n-by-n board."""
-    for j in range(1, n + 1):
-        for i in range(1, n):
-            yield EdgeId(HORIZONTAL, i, j)
-    for j in range(1, n):
-        for i in range(1, n + 1):
-            yield EdgeId(VERTICAL, i, j)

@@ -12,11 +12,18 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .grid import Assembly, PieceBag, Puzzle, piece_at, positions_row_major
-from .variant import LimitExceededError
 from .windows import WindowAssembly
 
 #: Default cap on enumerated assemblies.
 DEFAULT_LIMIT = 10**6
+
+
+class LimitExceededError(Exception):
+    """An exhaustive enumeration produced more results than allowed."""
+
+    def __init__(self, limit: int):
+        super().__init__(f"enumeration exceeded the limit of {limit} results")
+        self.limit = limit
 
 
 class UniquenessReport(NamedTuple):

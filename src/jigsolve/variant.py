@@ -22,16 +22,9 @@ from typing import TextIO
 import numpy as np
 
 from .grid import Coord, Direction, Puzzle, positions_row_major
+from .oracle import LimitExceededError
 
 TURNS = (0, 1, 2, 3)
-
-
-class LimitExceededError(Exception):
-    """An exhaustive enumeration produced more results than allowed."""
-
-    def __init__(self, limit: int):
-        super().__init__(f"enumeration exceeded the limit of {limit} results")
-        self.limit = limit
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,10 @@ import math
 import pytest
 
 from jigsolve.assemble import (
-    CoreGuess,
-    OffsetConflictError,
     PartialAssembly,
     ShellStuck,
     assemble_shells,
     core_guesses,
-    join_neighbors,
     mutual_components,
     solve,
 )
@@ -25,15 +22,9 @@ def unique_status(r, u, l, d):
 
 def test_join_all_none_gives_singletons():
     cands = {pid: NO_WINDOW for pid in range(9)}
-    comps = join_neighbors(cands)
+    comps = mutual_components(cands)
     assert len(comps) == 9
     assert all(c.size == 1 for c in comps)
-
-
-def test_join_rejects_multiple():
-    cands = {0: CandidateStatus("multiple", None, ()), 1: NO_WINDOW}
-    with pytest.raises(ValueError):
-        join_neighbors(cands)
 
 
 def test_join_mutual_pair():
@@ -44,7 +35,7 @@ def test_join_mutual_pair():
     }
     for pid in (4, 5, 6, 7, 8, 9):
         cands[pid] = NO_WINDOW
-    comps = join_neighbors(cands)
+    comps = mutual_components(cands)
     assert comps[0].size == 2
     assert comps[0].placement == {(0, 0): 0, (1, 0): 1}
 
@@ -56,7 +47,7 @@ def test_join_one_directional_claim_ignored():
     }
     for pid in (3, 4, 5, 6, 7, 8, 9):
         cands[pid] = NO_WINDOW
-    comps = join_neighbors(cands)
+    comps = mutual_components(cands)
     assert all(c.size == 1 for c in comps)
 
 
@@ -72,20 +63,16 @@ def test_join_offset_conflict():
     }
     for pid in range(80, 92):
         cands[pid] = NO_WINDOW
-    with pytest.raises(OffsetConflictError):
-        join_neighbors(cands)
-    # the tolerant join drops the colliding link instead
+    # the join drops the colliding link
     comps = mutual_components(cands)
     assert comps[0].size == 4
     assert set(comps[0].placement.values()) == {0, 1, 2, 3}
     assert {c.size for c in comps[1:]} == {1}
 
 
-def test_solve_on_planted_grid_candidates():
-    # hand-build planted unique statuses on a 4x4 grid -> full recovery
-    n = 4
-    p = generate(n, 10**6, seed=2)
-    bag, planted = disassemble(p, 21)
+def planted_candidates(n, seed, shuffle_seed):
+    # hand-built planted unique statuses: interior pieces name their true neighbors
+    bag, planted = disassemble(generate(n, 10**6, seed=seed), shuffle_seed)
     placement = planted.placement
     cands = {}
     for v in positions_row_major(n):
@@ -97,20 +84,41 @@ def test_solve_on_planted_grid_candidates():
             cands[placement[v]] = NO_WINDOW
         else:
             cands[placement[v]] = unique_status(*neighbors)
+    return bag, planted, cands
+
+
+def test_solve_on_planted_grid_candidates():
+    n = 4
+    bag, planted, cands = planted_candidates(n, 2, 21)
     out = solve(bag, n, 1, candidates=cands)
     assert out.solved
-    assert out.assembly.placement == placement
+    assert out.assembly.placement == planted.placement
+
+
+@pytest.mark.parametrize("hole", [(3, 3), (2, 2), (5, 5)])
+def test_solve_best_cover_core_with_hole(hole):
+    # one core piece without a window: no fully occupied core square exists,
+    # so solve grows from the best-covering square and fills the hole
+    n = 6
+    bag, planted, cands = planted_candidates(n, 2, 21)
+    cands[planted.placement[hole]] = NO_WINDOW
+    largest = mutual_components(cands)[0]
+    assert largest.size == (n - 2) ** 2 - 1
+    assert core_guesses(largest, n, 1) == [(0, 0)]
+    out = solve(bag, n, 1, candidates=cands)
+    assert out.solved
+    assert out.assembly.placement == planted.placement
 
 
 def test_core_guess_counts():
     square = PartialAssembly({(x, y): x * 4 + y for x in range(4) for y in range(4)})
-    assert core_guesses(square, 6, 1) == [CoreGuess((0, 0))]
+    assert core_guesses(square, 6, 1) == [(0, 0)]
     rect = PartialAssembly({(x, y): x * 4 + y for x in range(5) for y in range(4)})
-    assert core_guesses(rect, 6, 1) == [CoreGuess((0, 0)), CoreGuess((1, 0))]
+    assert core_guesses(rect, 6, 1) == [(0, 0), (1, 0)]
     assert core_guesses(square, 6, 2) != []  # 2x2 squares inside a 4x4 block
     missing = {(x, y): x * 4 + y for x in range(4) for y in range(4)}
     del missing[(1, 1)]
-    assert core_guesses(PartialAssembly(missing), 6, 1) == []
+    assert core_guesses(PartialAssembly(missing), 6, 1) == [(0, 0)]  # covers 15 of 16
 
 
 def test_core_guess_count_bound():

@@ -80,6 +80,18 @@ def test_analyze_window(tmp_path, capsys):
     assert "q^-3" in text
 
 
+@pytest.mark.parametrize(
+    "content, named",
+    [("", "empty window map"), ("1\n1 1 1 1\n", "'1 1 1 1'")],
+)
+def test_analyze_window_bad_input(tmp_path, capsys, content, named):
+    mapfile = tmp_path / "map.txt"
+    mapfile.write_text(content)
+    assert main(["analyze-window", "--in", str(mapfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
 def test_variant_generate_and_oracle(tmp_path, capsys):
     out = tmp_path / "variant.txt"
     assert (
@@ -122,6 +134,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["oracle", "--in", str(tmp_path / "missing.txt")]) == 2
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfgfile), "--set", "n30", "--out", str(out)]) == 2
+    assert "bad --set override: 'n30'" in capsys.readouterr().err
 
 
 def test_variant_oracle_involution_cross_check(tmp_path, capsys):

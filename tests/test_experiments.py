@@ -1,8 +1,13 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jigsolve
 from jigsolve.experiments import (
     CSV_HEADER,
     SweepConfig,
@@ -68,6 +73,24 @@ def test_sweep_rows_and_determinism():
     # identical except the runtime column
     strip = lambda line: line.rsplit(",", 1)[0]
     assert [strip(x) for x in lines1] == [strip(x) for x in lines2]
+
+
+def test_sweep_csv_independent_of_hash_seed(tmp_path):
+    # set and dict iteration order must not leak into any trial outcome;
+    # the two cells give unsolved and solved trials
+    src = str(Path(jigsolve.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"sweep{hash_seed}.csv"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "jigsolve.cli", "sweep", "--set", "n=8", "--set", "alpha=1.6,2.4",
+             "--set", "trials=5", "--set", "seed=3", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+    assert len(outputs[0]) == 11
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_seeds_differ_across_cells_and_trials():

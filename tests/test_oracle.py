@@ -3,11 +3,11 @@ import pytest
 from jigsolve.gen import generate
 from jigsolve.grid import Assembly, disassemble, is_feasible, piece_at, positions_row_major
 from jigsolve.oracle import (
+    LimitExceededError,
     brute_force_windows,
     enumerate_feasible_assemblies,
     uniqueness_report,
 )
-from jigsolve.variant import LimitExceededError
 from jigsolve.windows import enumerate_windows
 from helpers import all_distinct_puzzle, explicit_puzzle
 
