@@ -1,8 +1,10 @@
 """Command line interface.
 
 Subcommands: generate, solve, oracle, typical, candidates, analyze-window,
-variant-oracle, sweep. Exit codes: 0 on success, 1 when a solve fails,
-2 on usage errors (argparse's default).
+variant-oracle, sweep. Exit codes: 0 on success; 1 when a solve fails
+(``budget_exceeded`` included) or another command exceeds its window
+budget (``--budget``) or result limit (``--limit``), which prints
+``error: <message>`` on stderr; 2 on usage errors and malformed input.
 """
 
 from __future__ import annotations
@@ -236,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (windows.BudgetExceededError, oracle.LimitExceededError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

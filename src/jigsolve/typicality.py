@@ -118,7 +118,7 @@ def report_from_candidates(
             peripheral_consistent, peripheral_witness = False, (v, "multiple")
             break
         expected = _planted_neighborhood(placement, v, n)
-        if expected is None or tuple(st.neighborhood) != expected:
+        if expected is None or st.stable != expected:
             peripheral_consistent, peripheral_witness = False, (v, "not planted")
             break
 

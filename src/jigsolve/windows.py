@@ -1,20 +1,25 @@
-"""Feasible window enumeration over a piece bag, with color indexes.
+"""Feasible window enumeration over a piece bag through one color index.
 
 A window is a (2k+1)-by-(2k+1) block of distinct pieces whose internal
-edges all match. Enumeration seeds the top-left corner, extends the top
-row rightward and the left column downward through single-color lookups,
-then fills the interior row by row where each open cell is pinned by two
-colors at once. The stream is deterministic: candidates are tried in
-increasing piece id.
+edges all match. The bag is indexed once, in a dict keyed by
+``up * (q + 1) + left`` in which color 0 means "unconstrained": every
+piece is filed under (up, left), (0, left), (up, 0) and (0, 0).
+
+Cells are placed in growing L-shells from the top-left corner: shell s
+is its right column top-down, then its bottom row left to right. Every
+cell then finds its left and upper neighbors already placed, and in each
+shell past the corner all but two cells are pinned by two colors. A
+neighbor outside the window reads as a sentinel piece whose colors are
+all 0, so every cell's candidates come from the same single lookup,
+keyed by the down color above it and the right color left of it. The
+stream is deterministic: candidates are tried in increasing piece id.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .grid import Direction, PieceBag
+from .grid import Piece, PieceBag
 
 #: Default cap on explored partial assemblies.
 DEFAULT_BUDGET = 10**7
@@ -26,36 +31,6 @@ class BudgetExceededError(Exception):
     def __init__(self, budget: int):
         super().__init__(f"window enumeration exceeded the budget of {budget} partial assemblies")
         self.budget = budget
-
-
-@dataclass(frozen=True)
-class ColorIndexes:
-    """Side and side-pair lookup tables over a bag.
-
-    ``side_index[(d, c)]`` lists the piece ids with color c on side d.
-    ``pair_index[(d1, d2, c1, c2)]`` (d1 < d2) lists the piece ids with
-    color c1 on side d1 and c2 on side d2; every piece feeds all six
-    unordered side pairs.
-    """
-
-    side_index: dict[tuple[Direction, int], tuple[int, ...]]
-    pair_index: dict[tuple[Direction, Direction, int, int], tuple[int, ...]]
-
-
-def build_indexes(bag: PieceBag) -> ColorIndexes:
-    side: dict[tuple[Direction, int], list[int]] = {}
-    pair: dict[tuple[Direction, Direction, int, int], list[int]] = {}
-    for pid, piece in enumerate(bag.pieces):
-        for d in range(4):
-            side.setdefault((Direction(d), piece[d]), []).append(pid)
-        for d1 in range(4):
-            for d2 in range(d1 + 1, 4):
-                key = (Direction(d1), Direction(d2), piece[d1], piece[d2])
-                pair.setdefault(key, []).append(pid)
-    return ColorIndexes(
-        {k: tuple(v) for k, v in side.items()},
-        {k: tuple(v) for k, v in pair.items()},
-    )
 
 
 class WindowAssembly(NamedTuple):
@@ -98,13 +73,11 @@ class CandidateStatus(NamedTuple):
     """Aggregate of all windows centered on one piece.
 
     ``stable`` holds, per direction, the neighbor id claimed identically
-    by every window (None where windows disagree); for a unique status it
-    coincides with the neighborhood.
+    by every window (None where windows disagree); a unique status has
+    no None, and its ``stable`` is the one neighborhood.
     """
 
     kind: str  # "none" | "unique" | "multiple"
-    neighborhood: CandidateNeighborhood | None = None
-    witnesses: tuple[CandidateNeighborhood, ...] = ()
     stable: tuple[int | None, int | None, int | None, int | None] = (None, None, None, None)
 
 
@@ -122,102 +95,59 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
     if budget <= 0:
         raise ValueError("budget must be positive")
 
-    pieces = bag.pieces
-    npieces = len(pieces)
-    q = bag.q
+    RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
+    npieces = len(bag.pieces)
+    pieces = bag.pieces + (Piece(0, 0, 0, 0),)  # pieces[npieces]: the sentinel
+    stride = bag.q + 1
     side = 2 * k + 1
     ncells = side * side
 
-    # per-color buckets for the two constrained sides; dense color spaces
-    # use list indexing, sparse ones a defaultdict (avoids q-sized tables)
-    UPD, LFT = int(Direction.UP), int(Direction.LEFT)
-    if q <= 4 * npieces:
-        by_left: list | defaultdict = [() for _ in range(q + 1)]
-        by_up: list | defaultdict = [() for _ in range(q + 1)]
-        lacc: list[list[int]] = [[] for _ in range(q + 1)]
-        uacc: list[list[int]] = [[] for _ in range(q + 1)]
-        for pid, piece in enumerate(pieces):
-            lacc[piece[LFT]].append(pid)
-            uacc[piece[UPD]].append(pid)
-        for c in range(q + 1):
-            by_left[c] = tuple(lacc[c])
-            by_up[c] = tuple(uacc[c])
-    else:
-        by_left = defaultdict(tuple)
-        by_up = defaultdict(tuple)
-        ldict: dict[int, list[int]] = {}
-        udict: dict[int, list[int]] = {}
-        for pid, piece in enumerate(pieces):
-            ldict.setdefault(piece[LFT], []).append(pid)
-            udict.setdefault(piece[UPD], []).append(pid)
-        for c, pids in ldict.items():
-            by_left[c] = tuple(pids)
-        for c, pids in udict.items():
-            by_up[c] = tuple(pids)
-    stride = q + 1
-    pair_ul: dict[int, tuple[int, ...]] = {}
-    pacc: dict[int, list[int]] = {}
-    for pid, piece in enumerate(pieces):
-        pacc.setdefault(piece[UPD] * stride + piece[LFT], []).append(pid)
-    for key, pids in pacc.items():
-        pair_ul[key] = tuple(pids)
+    index: dict[int, list[int]] = {}
+    for pid, piece in enumerate(bag.pieces):
+        up, left = piece[UP] * stride, piece[LEFT]
+        for key in (up + left, left, up, 0):
+            index.setdefault(key, []).append(pid)
 
-    # cell order: top row, then left column, then interior rows top-down
-    cells: list[tuple[int, int]] = [(x, k) for x in range(-k, k + 1)]
-    cells += [(-k, y) for y in range(k - 1, -k - 1, -1)]
-    for y in range(k - 1, -k - 1, -1):
-        for x in range(-k + 1, k + 1):
-            cells.append((x, y))
+    # cells as (column, row), row 0 on top, in L-shells from the top-left
+    cells: list[tuple[int, int]] = []
+    for s in range(side):
+        cells += [(s, r) for r in range(s)]
+        cells += [(c, s) for c in range(s + 1)]
     slot_of = {cell: s for s, cell in enumerate(cells)}
-    # per slot: (left_slot, above_slot), -1 when outside the window
-    left_slot = [-1] * ncells
-    above_slot = [-1] * ncells
-    for s, (x, y) in enumerate(cells):
-        ls = slot_of.get((x - 1, y), -1)
-        as_ = slot_of.get((x, y + 1), -1)
-        assert ls < s and as_ < s, "cell order must place constraints first"
-        left_slot[s], above_slot[s] = ls, as_
-    canon = [(k - y) * side + (x + k) for (x, y) in cells]
+    assert all(
+        slot_of.get(nb, -1) < s for s, (c, r) in enumerate(cells) for nb in ((c - 1, r), (c, r - 1))
+    ), "cell order must place constraints first"
+    # slot ncells is outside the window and always holds the sentinel
+    left_slot = [slot_of.get((c - 1, r), ncells) for c, r in cells]
+    above_slot = [slot_of.get((c, r - 1), ncells) for c, r in cells]
+    canon = [r * side + c for c, r in cells]
 
-    RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
-    empty: tuple[int, ...] = ()
-    pair_get = pair_ul.get
-
+    get = index.get
     used = bytearray(npieces)
-    slots = [0] * ncells
+    slots = [npieces] * (ncells + 1)
     out = [0] * ncells
     explored = 0
     last = ncells - 1
-    stack: list[Iterator[int]] = [iter(range(npieces))]
+    stack: list[Iterator[int]] = [iter(index[0])]
     depth = 0
     make = WindowAssembly
 
     while stack:
-        it = stack[-1]
-        for pid in it:
+        for pid in stack[-1]:
             if used[pid]:
                 continue
             explored += 1
             if explored > budget:
                 raise BudgetExceededError(budget)
+            out[canon[depth]] = pid
             if depth == last:
-                out[canon[depth]] = pid
                 yield make(k, tuple(out))
                 continue
             slots[depth] = pid
-            out[canon[depth]] = pid
             used[pid] = 1
             depth += 1
-            ls, as_ = left_slot[depth], above_slot[depth]
-            if ls >= 0:
-                right_color = pieces[slots[ls]][RIGHT]
-                if as_ >= 0:
-                    cands = pair_get(pieces[slots[as_]][DOWN] * stride + right_color, empty)
-                else:
-                    cands = by_left[right_color]
-            else:
-                cands = by_up[pieces[slots[as_]][DOWN]]
-            stack.append(iter(cands))
+            key = pieces[slots[above_slot[depth]]][DOWN] * stride + pieces[slots[left_slot[depth]]][RIGHT]
+            stack.append(iter(get(key, ())))
             break
         else:
             stack.pop()
@@ -232,34 +162,27 @@ def aggregate_candidates(
 ) -> dict[int, CandidateStatus]:
     """Fold a window stream into per-piece candidate statuses.
 
-    Order independent: the result depends only on the set of windows.
+    Order independent: the result depends only on the set of windows. A
+    piece is "multiple" exactly when two of its windows disagree on some
+    neighbor, which leaves a None in its ``stable``.
     """
-    first: dict[int, CandidateNeighborhood] = {}
-    multi: dict[int, tuple[CandidateNeighborhood, CandidateNeighborhood]] = {}
     stable: dict[int, list[int | None]] = {}
     for wa in windows:
-        center = wa.center
         nb = wa.neighborhood()
-        cur = first.get(center)
-        if cur is None:
-            first[center] = nb
-            stable[center] = list(nb)
+        agreed = stable.get(wa.center)
+        if agreed is None:
+            stable[wa.center] = list(nb)
             continue
-        agreed = stable[center]
         for d in range(4):
-            if agreed[d] is not None and agreed[d] != nb[d]:
+            if agreed[d] != nb[d]:
                 agreed[d] = None
-        if center not in multi and nb != cur:
-            multi[center] = (cur, nb)
     statuses: dict[int, CandidateStatus] = {}
     for pid in range(num_pieces):
-        if pid in multi:
-            statuses[pid] = CandidateStatus("multiple", None, multi[pid], tuple(stable[pid]))
-        elif pid in first:
-            nb = first[pid]
-            statuses[pid] = CandidateStatus("unique", nb, (), tuple(nb))
-        else:
+        agreed = stable.get(pid)
+        if agreed is None:
             statuses[pid] = NO_WINDOW
+        else:
+            statuses[pid] = CandidateStatus("multiple" if None in agreed else "unique", tuple(agreed))
     return statuses
 
 

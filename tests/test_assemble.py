@@ -12,12 +12,11 @@ from jigsolve.assemble import (
 )
 from jigsolve.gen import generate
 from jigsolve.grid import disassemble, is_feasible, positions_row_major
-from jigsolve.windows import CandidateNeighborhood, CandidateStatus, NO_WINDOW
+from jigsolve.windows import CandidateStatus, NO_WINDOW
 
 
 def unique_status(r, u, l, d):
-    nb = CandidateNeighborhood(r, u, l, d)
-    return CandidateStatus("unique", nb, (), tuple(nb))
+    return CandidateStatus("unique", (r, u, l, d))
 
 
 def test_join_all_none_gives_singletons():

@@ -59,6 +59,26 @@ def test_candidates_counts(tmp_path, capsys):
     assert "none: 20" in text
 
 
+@pytest.mark.parametrize(
+    "command, infile, cap, exceeded",
+    [
+        ("candidates", "bag.txt", ["--k", "1", "--budget", "100"], "budget of 100"),
+        ("typical", "puzzle.txt", ["--k", "1", "--budget", "100"], "budget of 100"),
+        ("oracle", "puzzle.txt", ["--limit", "5"], "limit of 5"),
+        ("variant-oracle", "variant.txt", ["--limit", "5"], "limit of 5"),
+    ],
+)
+def test_budget_or_limit_exceeded_exit_code(tmp_path, capsys, command, infile, cap, exceeded):
+    # a monochromatic n=6 puzzle has far more windows and assemblies than either cap
+    main(["generate", "--n", "6", "--q", "1", "--out", str(tmp_path / "puzzle.txt"),
+          "--bag-out", str(tmp_path / "bag.txt")])
+    main(["generate", "--n", "6", "--q", "1", "--variant", "--out", str(tmp_path / "variant.txt")])
+    capsys.readouterr()
+    assert main([command, "--in", str(tmp_path / infile), *cap]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and exceeded in err
+
+
 def test_typical_output(tmp_path, capsys):
     puzfile = tmp_path / "p.txt"
     p = generate(6, 10**5, seed=2)

@@ -152,15 +152,16 @@ def test_brute_windows_contain_planted_block():
 
 
 def test_brute_windows_equal_fast_path():
-    # the (n=4, q=2) cell is huge and lives in the acceptance suite
-    for n, q in ((3, 2), (3, 3), (4, 3), (4, 4)):
+    # the (n=4, q=2) cell is huge and lives in the acceptance suite; k=2
+    # is the first radius whose cell order has shells past the corner's
+    for n, q, k in ((3, 2, 1), (3, 3, 1), (4, 3, 1), (4, 4, 1), (5, 8, 2), (6, 12, 2)):
         for seed in range(3):
             p = generate(n, q, seed=seed)
             bag, _ = disassemble(p, seed + 1)
-            fast = {wa.cells for wa in enumerate_windows(bag, 1, budget=10**8)}
+            fast = {wa.cells for wa in enumerate_windows(bag, k, budget=10**8)}
             brute = set()
             for center in range(n * n):
-                for wa in brute_force_windows(bag, center, 1):
+                for wa in brute_force_windows(bag, center, k):
                     assert wa.center == center
                     brute.add(wa.cells)
             assert fast == brute
