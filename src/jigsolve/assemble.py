@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .grid import Assembly, Coord, Direction, PieceBag, is_feasible
+from .grid import STEPS, Assembly, Coord, PieceBag, is_feasible
 from .windows import DEFAULT_BUDGET, BudgetExceededError, CandidateStatus, candidate_neighborhoods
 
 
@@ -60,19 +60,18 @@ def mutual_components(cands: dict[int, CandidateStatus]) -> list[PartialAssembly
     normalized to start at (0, 0) and sorted largest first, then by
     smallest piece id.
     """
-    mutual: dict[int, list[tuple[Direction, int]]] = {pid: [] for pid in cands}
+    mutual: dict[int, list[tuple[Coord, int]]] = {pid: [] for pid in cands}
     for pid, st in cands.items():
         if st.kind == "none":
             continue
-        for d in range(4):
-            other = st.stable[d]
+        for d, other in enumerate(st.stable):
             if other is None:
                 continue
             ost = cands.get(other)
             if ost is None or ost.kind == "none":
                 continue
-            if ost.stable[Direction(d).opposite] == pid:
-                mutual[pid].append((Direction(d), other))
+            if ost.stable[d ^ 2] == pid:
+                mutual[pid].append((STEPS[d], other))
 
     seen: set[int] = set()
     components: list[PartialAssembly] = []
@@ -86,8 +85,7 @@ def mutual_components(cands: dict[int, CandidateStatus]) -> list[PartialAssembly
         while queue:
             pid = queue.popleft()
             (x, y) = offsets[pid]
-            for d, other in mutual[pid]:
-                (dx, dy) = d.step
+            for (dx, dy), other in mutual[pid]:
                 pos = (x + dx, y + dy)
                 if other in seen or pos in cells:
                     continue
@@ -175,10 +173,10 @@ def assemble_shells(
       with several matches wait for the pool to shrink; a cell with no
       match means the guess is wrong.
     * seed: when no fill makes progress, the free edges of placed pieces
-      are scanned (innermost cell first, sides in bottom/right/top/left
+      are scanned (innermost cell first, sides in right/up/left/down
       order) for a color occurring exactly once among all jigs of the
-      remaining pieces; the lone occurrence, if it faces the edge, is
-      placed.
+      remaining pieces; the piece holding it is placed if it matches
+      every free edge of the cell.
 
     Raises :class:`ShellStuck` when neither rule applies and open cells
     remain.
@@ -231,6 +229,21 @@ def assemble_shells(
     return Assembly(placement)
 
 
+def _free_edges(pieces: tuple, placement: dict[Coord, int], cell: Coord) -> list[tuple[int, int]]:
+    """``(side, color)`` for each placed neighbor of ``cell``.
+
+    A piece placed in ``cell`` must carry ``color`` on ``side``: the
+    neighbor across side ``d`` shows it on its side ``d ^ 2``.
+    """
+    x, y = cell
+    out = []
+    for d, (dx, dy) in enumerate(STEPS):
+        pid = placement.get((x + dx, y + dy))
+        if pid is not None:
+            out.append((d, pieces[pid][d ^ 2]))
+    return out
+
+
 def _seed_any(
     pieces: tuple,
     placement: dict[Coord, int],
@@ -239,19 +252,14 @@ def _seed_any(
 ) -> Coord | None:
     """Seed one open cell from a free edge with a unique color.
 
-    Scans open cells in order; for each, every placed neighbor's facing
-    edge is a free edge. A color counted exactly once over all jigs of
-    the remaining pieces identifies one piece; it is placed if the lone
-    occurrence is on the jig facing the edge.
+    Scans open cells in order, and each cell's free edges in side order.
+    A color counted exactly once over all jigs of the remaining pieces
+    identifies one piece; it is placed if it matches every free edge of
+    the cell (so in particular the lone occurrence faces the edge).
     """
     for cell in open_cells:
-        for d in range(4):
-            dx, dy = Direction(d).step
-            pid = placement.get((cell[0] + dx, cell[1] + dy))
-            if pid is None:
-                continue
-            facing = Direction(d)  # side of the new piece toward the neighbor
-            color = pieces[pid][facing.opposite]
+        wanted = _free_edges(pieces, placement, cell)
+        for _, color in wanted:
             count = 0
             match = -1
             for cand in pool:
@@ -263,26 +271,11 @@ def _seed_any(
                     match = cand
             if count != 1:
                 continue
-            if pieces[match][facing] != color:
-                continue  # the lone occurrence faces the wrong way
-            if not _placement_consistent(pieces, placement, cell, match):
-                continue  # violates another already placed neighbor
-            placement[cell] = match
-            pool.remove(match)
-            return cell
+            if all(pieces[match][d] == c for d, c in wanted):
+                placement[cell] = match
+                pool.remove(match)
+                return cell
     return None
-
-
-def _placement_consistent(
-    pieces: tuple, placement: dict[Coord, int], cell: Coord, pid: int
-) -> bool:
-    piece = pieces[pid]
-    for d in range(4):
-        dx, dy = Direction(d).step
-        other = placement.get((cell[0] + dx, cell[1] + dy))
-        if other is not None and piece[d] != pieces[other][Direction(d).opposite]:
-            return False
-    return True
 
 
 def _matches_at(
@@ -296,20 +289,10 @@ def _matches_at(
     Returns None when fewer than two neighbors are placed (the cell does
     not yet specify two free edges).
     """
-    wanted: list[tuple[int, int]] = []
-    for d in range(4):
-        dx, dy = Direction(d).step
-        pid = placement.get((cell[0] + dx, cell[1] + dy))
-        if pid is not None:
-            wanted.append((d, pieces[pid][Direction(d).opposite]))
+    wanted = _free_edges(pieces, placement, cell)
     if len(wanted) < 2:
         return None
-    out = []
-    for pid in pool:
-        p = pieces[pid]
-        if all(p[d] == c for d, c in wanted):
-            out.append(pid)
-    return out
+    return [pid for pid in pool if all(pieces[pid][d] == c for d, c in wanted)]
 
 
 def solve(

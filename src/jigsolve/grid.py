@@ -57,10 +57,11 @@ class Direction(IntEnum):
 
     @property
     def step(self) -> Coord:
-        return _STEPS[self]
+        return STEPS[self]
 
 
-_STEPS: tuple[Coord, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
+#: Unit step toward each side, indexed by direction; the side opposite ``d`` is ``d ^ 2``.
+STEPS: tuple[Coord, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 DIRECTIONS = (Direction.RIGHT, Direction.UP, Direction.LEFT, Direction.DOWN)
 
@@ -153,6 +154,8 @@ class PieceBag:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1 or self.q < 1:
+            raise ValueError("n and q must be positive")
         if len(self.pieces) != self.n * self.n:
             raise ValueError("a bag must hold exactly n^2 pieces")
         for p in self.pieces:
@@ -165,12 +168,6 @@ class Assembly:
     """A placement of piece ids on the board: position -> piece id."""
 
     placement: dict[Coord, int]
-
-    def pid_at(self, v: Coord) -> int:
-        return self.placement[v]
-
-    def position_of(self) -> dict[int, Coord]:
-        return {pid: v for v, pid in self.placement.items()}
 
 
 def positions_row_major(n: int) -> list[Coord]:
@@ -241,14 +238,6 @@ def is_feasible(bag: PieceBag, assembly: Assembly) -> bool:
     return True
 
 
-def same_up_to_identical_pieces(bag: PieceBag, a: Assembly, b: Assembly) -> bool:
-    """True iff the two placements put an equal-valued piece everywhere."""
-    if a.placement.keys() != b.placement.keys():
-        return False
-    pieces = bag.pieces
-    return all(pieces[a.placement[v]] == pieces[b.placement[v]] for v in a.placement)
-
-
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -269,6 +258,8 @@ def read_puzzle(inp: TextIO) -> Puzzle:
     if len(tokens) < 2:
         raise ValueError("puzzle file: missing header")
     n, q = int(tokens[0]), int(tokens[1])
+    if n < 1 or q < 1:
+        raise ValueError("puzzle file: n and q must be positive")
     need = 2 + n * (n + 1) * 2
     if len(tokens) != need:
         raise ValueError(f"puzzle file: expected {need} tokens, got {len(tokens)}")
@@ -298,6 +289,8 @@ def read_bag(inp: TextIO) -> PieceBag:
     if len(tokens) < 2:
         raise ValueError("bag file: missing header")
     n, q = int(tokens[0]), int(tokens[1])
+    if n < 1 or q < 1:
+        raise ValueError("bag file: n and q must be positive")
     need = 2 + 4 * n * n
     if len(tokens) != need:
         raise ValueError(f"bag file: expected {need} tokens, got {len(tokens)}")

@@ -105,20 +105,12 @@ def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessR
     )
 
 
-def brute_force_windows(
-    bag: PieceBag,
-    center: int,
-    k: int = 1,
-    deviant_only: bool = False,
-    planted: Assembly | None = None,
-) -> list[WindowAssembly]:
+def brute_force_windows(bag: PieceBag, center: int, k: int = 1) -> list[WindowAssembly]:
     """Exhaustive enumeration of feasible windows with a given center.
 
     Window cells are filled row-major from the top-left, the center piece
     pinned in the middle; candidates are pruned against the left and upper
-    neighbors by direct color comparison. With ``deviant_only`` (requires
-    the planted placement) only windows whose center neighborhood differs
-    from the planted one at some unit offset are kept.
+    neighbors by direct color comparison.
     """
     n = bag.n
     pieces = bag.pieces
@@ -185,21 +177,4 @@ def brute_force_windows(
             slot -= 1
             used[chosen[slot]] = 0
 
-    if deviant_only:
-        if planted is None:
-            raise ValueError("deviant_only requires the planted placement")
-        where = planted.position_of()[center]
-        offsets = ((1, 0), (0, 1), (-1, 0), (0, -1))
-        expected = []
-        for (dx, dy) in offsets:
-            v = (where[0] + dx, where[1] + dy)
-            expected.append(planted.placement.get(v))
-        results = [
-            wa
-            for wa in results
-            if any(
-                wa.pid_at(dx, dy) != expected[ix]
-                for ix, (dx, dy) in enumerate(offsets)
-            )
-        ]
     return results

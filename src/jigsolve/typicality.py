@@ -159,15 +159,14 @@ def report_from_candidates(
     # every color pair must be on at most c_prime * k pieces (all pieces)
     threshold = c_prime * k
     pair_counts: dict[tuple[int, int], int] = {}
-    color_pair_ok, color_pair_witness = True, None
     for v in positions_row_major(n):
         piece = piece_at(puzzle, v)
         for key in set(_color_pairs(piece)):
             pair_counts[key] = pair_counts.get(key, 0) + 1
-    for key, count in sorted(pair_counts.items()):
-        if Fraction(count) > threshold:
-            color_pair_ok, color_pair_witness = False, (key, count)
-            break
+    # the smallest over-threshold pair; an int compares exactly with a Fraction
+    color_pair_witness = min(
+        ((key, count) for key, count in pair_counts.items() if count > threshold), default=None
+    )
 
     return TypicalityReport(
         k=k,
@@ -181,7 +180,7 @@ def report_from_candidates(
         edge_witness=edge_witness,
         pair_sharing_ok=pair_sharing_ok,
         pair_witness=pair_witness,
-        color_pair_ok=color_pair_ok,
+        color_pair_ok=color_pair_witness is None,
         color_pair_witness=color_pair_witness,
     )
 

@@ -291,6 +291,8 @@ def read_variant(inp: TextIO) -> VariantPuzzle:
     if len(tokens) < 2:
         raise ValueError("variant file: missing header")
     n, q = int(tokens[0]), int(tokens[1])
+    if n < 1 or q < 1:
+        raise ValueError("variant file: n and q must be positive")
     need = 2 + q + 4 * n * n
     if len(tokens) != need:
         raise ValueError(f"variant file: expected {need} tokens, got {len(tokens)}")

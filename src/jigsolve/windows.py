@@ -43,9 +43,6 @@ class WindowAssembly(NamedTuple):
     def side(self) -> int:
         return 2 * self.k + 1
 
-    def pid_at(self, x: int, y: int) -> int:
-        return self.cells[(self.k - y) * self.side + (x + self.k)]
-
     @property
     def center(self) -> int:
         return self.cells[self.k * self.side + self.k]

@@ -12,6 +12,7 @@ from jigsolve.assemble import (
 )
 from jigsolve.gen import generate
 from jigsolve.grid import disassemble, is_feasible, positions_row_major
+from jigsolve.oracle import LimitExceededError, enumerate_feasible_assemblies
 from jigsolve.windows import CandidateStatus, NO_WINDOW
 
 
@@ -233,6 +234,28 @@ def test_solve_monochromatic_fails():
     assert out4.failure in ("multiple_candidates", "budget_exceeded")
 
 
+def test_solve_agrees_with_oracle_on_tiny_puzzles():
+    # a solved assembly is one the oracle finds, and the one when it is unique
+    cases = solved = 0
+    for n in (3, 4, 5):
+        for q in (n * n, 2 * n * n, 4 * n * n, 50, 200):
+            for seed in range(10):
+                bag, _ = disassemble(generate(n, q, seed=seed), seed + 1)
+                try:
+                    feasible = [a.placement for a in enumerate_feasible_assemblies(bag, limit=10**4)]
+                except LimitExceededError:
+                    continue
+                cases += 1
+                out = solve(bag, n, 1)
+                if not out.solved:
+                    continue
+                solved += 1
+                assert out.assembly.placement in feasible
+                if len(feasible) == 1:
+                    assert out.assembly.placement == feasible[0]
+    assert 4 * solved >= cases
+
+
 def test_component_offsets_match_planted_translation():
     # the core component's relative geometry is the planted one
     n = 8
@@ -242,7 +265,7 @@ def test_component_offsets_match_planted_translation():
 
     comps = mutual_components(candidate_neighborhoods(bag, 1))
     largest = comps[0]
-    where = planted.position_of()
+    where = {pid: v for v, pid in planted.placement.items()}
     anchor_cell = min(largest.placement)
     anchor_pos = where[largest.placement[anchor_cell]]
     for cell, pid in largest.placement.items():

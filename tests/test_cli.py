@@ -79,6 +79,24 @@ def test_budget_or_limit_exceeded_exit_code(tmp_path, capsys, command, infile, c
     assert err.startswith("error:") and exceeded in err
 
 
+@pytest.mark.parametrize(
+    "command, header, kind",
+    [
+        ("candidates", "0 5", "bag"),
+        ("solve", "0 5", "bag"),
+        ("oracle", "-1 5", "puzzle"),
+        ("typical", "-1 5", "puzzle"),
+        ("variant-oracle", "2 0", "variant"),
+    ],
+)
+def test_non_positive_header_exit_code(tmp_path, capsys, command, header, kind):
+    infile = tmp_path / "in.txt"
+    infile.write_text(header + "\n")
+    k = ["--k", "1"] if command in ("candidates", "solve", "typical") else []
+    assert main([command, "--in", str(infile), *k]) == 2
+    assert capsys.readouterr().err == f"error: {kind} file: n and q must be positive\n"
+
+
 def test_typical_output(tmp_path, capsys):
     puzfile = tmp_path / "p.txt"
     p = generate(6, 10**5, seed=2)

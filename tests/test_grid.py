@@ -21,7 +21,6 @@ from jigsolve.grid import (
     read_assembly,
     read_bag,
     read_puzzle,
-    same_up_to_identical_pieces,
     write_assembly,
     write_bag,
     write_puzzle,
@@ -159,17 +158,6 @@ def test_is_feasible_rejects_non_bijection():
         is_feasible(bag, Assembly({(1, 1): 0}))
 
 
-def test_same_up_to_identical_pieces():
-    p = monochromatic(2)
-    bag, planted = disassemble(p, 0)
-    shuffled = Assembly({v: (pid + 1) % 4 for v, pid in planted.placement.items()})
-    assert same_up_to_identical_pieces(bag, planted, shuffled)
-    distinct = all_distinct_puzzle(2)
-    bag2, planted2 = disassemble(distinct, 0)
-    other = Assembly({v: (pid + 1) % 4 for v, pid in planted2.placement.items()})
-    assert not same_up_to_identical_pieces(bag2, planted2, other)
-
-
 def test_puzzle_validation():
     with pytest.raises(ValueError):
         Puzzle(0, 1, np.zeros((1, 0)), np.zeros((0, 1)))
@@ -192,6 +180,11 @@ def test_bag_validation():
         PieceBag(2, 1, (Piece(1, 1, 1, 1),) * 3)
     with pytest.raises(ValueError):
         PieceBag(1, 1, (Piece(1, 2, 1, 1),))
+    for n, q in ((0, 5), (0, 0)):  # n^2 pieces, but an empty board
+        with pytest.raises(ValueError, match="n and q must be positive"):
+            PieceBag(n, q, ())
+    with pytest.raises(ValueError, match="bag file: n and q must be positive"):
+        read_bag(io.StringIO("0 5\n"))
 
 
 def test_puzzle_file_round_trip():

@@ -1,7 +1,7 @@
 import pytest
 
 from jigsolve.gen import generate
-from jigsolve.grid import Assembly, disassemble, is_feasible, piece_at, positions_row_major
+from jigsolve.grid import STEPS, Assembly, disassemble, is_feasible, piece_at, positions_row_major
 from jigsolve.oracle import (
     LimitExceededError,
     brute_force_windows,
@@ -167,32 +167,15 @@ def test_brute_windows_equal_fast_path():
             assert fast == brute
 
 
-def test_deviant_only_filter():
-    p = generate(3, 2, seed=5)
-    bag, planted = disassemble(p, 5)
-    center = planted.placement[(2, 2)]
-    everything = brute_force_windows(bag, center, 1)
-    deviant = {wa.cells for wa in brute_force_windows(bag, center, 1, deviant_only=True, planted=planted)}
-    expected = tuple(
-        planted.placement[(2 + dx, 2 + dy)]
-        for (dx, dy) in ((1, 0), (0, 1), (-1, 0), (0, -1))
-    )
-    assert everything  # the planted window at least
-    for wa in everything:
-        nb = wa.neighborhood()
-        if tuple(nb) == expected:
-            assert wa.cells not in deviant
-        else:
-            assert wa.cells in deviant
-    with pytest.raises(ValueError):
-        brute_force_windows(bag, center, 1, deviant_only=True)
-
-
 def test_deviant_only_empty_in_easy_regime():
+    # no window around an interior center claims other than its planted neighbors
     n = 6
     p = generate(n, 10_000, seed=3)
     bag, planted = disassemble(p, 3)
     for ci in range(2, n):
         for cj in range(2, n):
             center = planted.placement[(ci, cj)]
-            assert brute_force_windows(bag, center, 1, deviant_only=True, planted=planted) == []
+            expected = tuple(planted.placement[(ci + dx, cj + dy)] for dx, dy in STEPS)
+            windows = brute_force_windows(bag, center, 1)
+            assert windows  # the planted window at least
+            assert all(tuple(wa.neighborhood()) == expected for wa in windows)

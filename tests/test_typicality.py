@@ -4,9 +4,9 @@ import pytest
 
 from jigsolve.assemble import solve
 from jigsolve.gen import generate
-from jigsolve.grid import disassemble
+from jigsolve.grid import Assembly, disassemble, piece_at, positions_row_major
 from jigsolve.typicality import DEFAULT_C_PRIME, check_typical, report_from_candidates
-from jigsolve.windows import BudgetExceededError, candidate_neighborhoods
+from jigsolve.windows import NO_WINDOW, BudgetExceededError, candidate_neighborhoods
 from helpers import explicit_puzzle
 
 
@@ -40,6 +40,33 @@ def test_color_pair_property_unsatisfiable_at_small_k():
     (a, b), count = report.color_pair_witness
     assert count >= 1
     assert not report.typical
+
+
+def test_color_pair_witness_is_smallest_over_threshold_pair():
+    # at c' = 1 the threshold is k = 1: the witness is the smallest jig color
+    # pair held by two or more pieces, recounted here piece by piece
+    n = 4
+    order = positions_row_major(n)
+    planted = Assembly({v: ix for ix, v in enumerate(order)})
+    statuses = {ix: NO_WINDOW for ix in range(n * n)}  # the pair check ignores windows
+    for q in (1, 3, 12, 40, 10**6):
+        for seed in range(4):
+            p = generate(n, q, seed=seed)
+            pieces = [piece_at(p, v) for v in order]
+            colors = sorted({c for piece in pieces for c in piece})
+            over = []
+            for a in colors:
+                for b in colors[colors.index(a):]:
+                    count = sum(
+                        1
+                        for piece in pieces
+                        if any(sorted((piece[i], piece[j])) == [a, b] for i in range(4) for j in range(i + 1, 4))
+                    )
+                    if count > 1:
+                        over.append(((a, b), count))
+            report = report_from_candidates(p, planted, statuses, 1, Fraction(1))
+            assert report.color_pair_witness == (over[0] if over else None)
+            assert report.color_pair_ok == (not over)
 
 
 def test_generous_c_prime_can_accept():

@@ -19,8 +19,6 @@ def test_window_assembly_accessors():
     wa = WindowAssembly(1, tuple(range(9)))
     assert wa.side == 3
     assert wa.center == 4
-    assert wa.pid_at(-1, 1) == 0
-    assert wa.pid_at(1, -1) == 8
     assert wa.neighborhood() == CandidateNeighborhood(right=5, up=1, left=3, down=7)
 
 
