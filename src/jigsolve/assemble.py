@@ -186,9 +186,9 @@ def assemble_shells(
     square = {(i, j) for i in range(k + 1, n - k + 1) for j in range(k + 1, n - k + 1)}
     if not core or not set(core) <= square:
         raise ValueError("core must sit inside the central square")
-    pool = sorted(remaining)
-    if len(pool) + len(core) != n * n or set(pool) & set(core.values()):
+    if len(remaining) + len(core) != n * n or set(remaining) & set(core.values()):
         raise ValueError("remaining pieces must be exactly the unplaced ids")
+    pool = _Pool(pieces, bag.q, remaining)
 
     def stuck(cell: Coord, reason: str) -> ShellStuck:
         shell, side, _ = _ring(cell, n, k)
@@ -203,18 +203,18 @@ def assemble_shells(
         progress = False
         still_open: list[Coord] = []
         for cell in open_cells:
-            matches = _matches_at(pieces, placement, pool, cell)
-            if matches is None:
+            wanted = _free_edges(pieces, placement, cell)
+            if len(wanted) < 2:
                 still_open.append(cell)  # fewer than two free edges specified
                 continue
+            matches = pool.matches(wanted)
             if len(matches) == 0:
                 raise stuck(cell, "no matching piece")
             if len(matches) > 1:
                 still_open.append(cell)
                 continue
-            pid = matches[0]
-            placement[cell] = pid
-            pool.remove(pid)
+            placement[cell] = matches[0]
+            pool.take(matches[0])
             progress = True
         open_cells = still_open
         if progress or not open_cells:
@@ -225,7 +225,7 @@ def assemble_shells(
             raise stuck(open_cells[0], "no unique fill or seed")
         open_cells.remove(seeded)
 
-    assert not pool, "every piece must be placed"
+    assert not any(pool.free), "every piece must be placed"
     return Assembly(placement)
 
 
@@ -244,10 +244,57 @@ def _free_edges(pieces: tuple, placement: dict[Coord, int], cell: Coord) -> list
     return out
 
 
+class _Pool:
+    """The unplaced pieces, indexed by side color and counted by jig color.
+
+    ``by_side[side * (q + 1) + color]`` lists, ascending, the ids of the
+    pool's pieces with ``color`` on ``side``; placed ids stay listed and
+    are skipped through ``free``. ``jigs[color]`` counts the jigs of that
+    color over the unplaced pieces.
+    """
+
+    def __init__(self, pieces: tuple, q: int, ids: list[int]):
+        self.pieces = pieces
+        self.stride = q + 1
+        self.free = bytearray(len(pieces))
+        self.by_side: dict[int, list[int]] = {}
+        self.jigs: dict[int, int] = {}
+        for pid in sorted(ids):
+            self.free[pid] = 1
+            for d, c in enumerate(pieces[pid]):
+                self.by_side.setdefault(d * self.stride + c, []).append(pid)
+                self.jigs[c] = self.jigs.get(c, 0) + 1
+
+    def take(self, pid: int) -> None:
+        self.free[pid] = 0
+        for c in self.pieces[pid]:
+            self.jigs[c] -= 1
+
+    def matches(self, wanted: list[tuple[int, int]]) -> list[int]:
+        """Unplaced ids, ascending, carrying every ``(side, color)`` of ``wanted``."""
+        d0, c0 = wanted[0]
+        pieces, free = self.pieces, self.free
+        return [
+            pid
+            for pid in self.by_side.get(d0 * self.stride + c0, ())
+            if free[pid] and all(pieces[pid][d] == c for d, c in wanted)
+        ]
+
+    def lone_holder(self, color: int) -> int | None:
+        """The unplaced piece holding ``color``, if exactly one jig has it."""
+        if self.jigs.get(color) != 1:
+            return None
+        for d in range(4):
+            for pid in self.by_side.get(d * self.stride + color, ()):
+                if self.free[pid]:
+                    return pid
+        raise AssertionError("a counted jig must be indexed")
+
+
 def _seed_any(
     pieces: tuple,
     placement: dict[Coord, int],
-    pool: list[int],
+    pool: _Pool,
     open_cells: list[Coord],
 ) -> Coord | None:
     """Seed one open cell from a free edge with a unique color.
@@ -260,39 +307,12 @@ def _seed_any(
     for cell in open_cells:
         wanted = _free_edges(pieces, placement, cell)
         for _, color in wanted:
-            count = 0
-            match = -1
-            for cand in pool:
-                p = pieces[cand]
-                count += (p[0] == color) + (p[1] == color) + (p[2] == color) + (p[3] == color)
-                if count > 1:
-                    break
-                if count == 1 and match < 0:
-                    match = cand
-            if count != 1:
-                continue
-            if all(pieces[match][d] == c for d, c in wanted):
-                placement[cell] = match
-                pool.remove(match)
+            pid = pool.lone_holder(color)
+            if pid is not None and all(pieces[pid][d] == c for d, c in wanted):
+                placement[cell] = pid
+                pool.take(pid)
                 return cell
     return None
-
-
-def _matches_at(
-    pieces: tuple,
-    placement: dict[Coord, int],
-    pool: list[int],
-    cell: Coord,
-) -> list[int] | None:
-    """Remaining pieces matching every placed neighbor of an open cell.
-
-    Returns None when fewer than two neighbors are placed (the cell does
-    not yet specify two free edges).
-    """
-    wanted = _free_edges(pieces, placement, cell)
-    if len(wanted) < 2:
-        return None
-    return [pid for pid in pool if all(pieces[pid][d] == c for d, c in wanted)]
 
 
 def solve(

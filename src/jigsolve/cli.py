@@ -44,14 +44,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     with open(args.infile) as fh:
         bag = grid.read_bag(fh)
+    planted = None
+    if args.planted:
+        with open(args.planted) as fh:
+            planted = grid.read_assembly(fh)
+        if len(planted.placement) != bag.n * bag.n:
+            raise ValueError(f"planted file: expected an assembly for n={bag.n}")
     outcome = assemble.solve(bag, bag.n, args.k, args.budget)
     if not outcome.solved:
         print(f"failed: {outcome.failure}")
         return 1
     print(f"solved after {outcome.guesses_tried} core guess(es)")
-    if args.planted:
-        with open(args.planted) as fh:
-            planted = grid.read_assembly(fh)
+    if planted is not None:
         match = outcome.assembly.placement == planted.placement
         print(f"planted match: {'yes' if match else 'no'}")
         if not match:

@@ -158,9 +158,8 @@ class PieceBag:
             raise ValueError("n and q must be positive")
         if len(self.pieces) != self.n * self.n:
             raise ValueError("a bag must hold exactly n^2 pieces")
-        for p in self.pieces:
-            if any(c < 1 or c > self.q for c in p):
-                raise ValueError(f"piece colors must lie in [1..{self.q}]")
+        if min(map(min, self.pieces)) < 1 or max(map(max, self.pieces)) > self.q:
+            raise ValueError(f"piece colors must lie in [1..{self.q}]")
 
 
 @dataclass(frozen=True)
@@ -190,6 +189,17 @@ def piece_at(puzzle: Puzzle, v: Coord) -> Piece:
     )
 
 
+def pieces_row_major(puzzle: Puzzle) -> list[Piece]:
+    """``piece_at`` for every position, in :func:`positions_row_major` order."""
+    n = puzzle.n
+    h, w = puzzle.hcolors.tolist(), puzzle.vcolors.tolist()
+    return [
+        Piece(h[i][j - 1], w[i - 1][j], h[i - 1][j - 1], w[i - 1][j - 1])
+        for j in range(1, n + 1)
+        for i in range(1, n + 1)
+    ]
+
+
 def disassemble(puzzle: Puzzle, seed: int) -> tuple[PieceBag, Assembly]:
     """Shuffle the pieces into a bag; return it with the planted placement.
 
@@ -199,14 +209,10 @@ def disassemble(puzzle: Puzzle, seed: int) -> tuple[PieceBag, Assembly]:
     """
     n = puzzle.n
     order = positions_row_major(n)
-    perm = generator(seed).permutation(n * n)
-    pieces = [Piece(0, 0, 0, 0)] * (n * n)
-    placement: dict[Coord, int] = {}
-    for pid in range(n * n):
-        v = order[int(perm[pid])]
-        pieces[pid] = piece_at(puzzle, v)
-        placement[v] = pid
-    return PieceBag(n, puzzle.q, tuple(pieces)), Assembly(placement)
+    pieces = pieces_row_major(puzzle)
+    perm = generator(seed).permutation(n * n).tolist()
+    bag = PieceBag(n, puzzle.q, tuple(pieces[ix] for ix in perm))
+    return bag, Assembly({order[ix]: pid for pid, ix in enumerate(perm)})
 
 
 def is_feasible(bag: PieceBag, assembly: Assembly) -> bool:
@@ -314,8 +320,12 @@ def read_assembly(inp: TextIO) -> Assembly:
     if not tokens:
         raise ValueError("assembly file: missing header")
     n = int(tokens[0])
+    if n < 1:
+        raise ValueError("assembly file: n must be positive")
     if len(tokens) != 1 + n * n:
         raise ValueError("assembly file: wrong token count")
+    if sorted(int(t) for t in tokens[1:]) != list(range(n * n)):
+        raise ValueError(f"assembly file: piece ids must be 0..{n * n - 1}, each once")
     placement: dict[Coord, int] = {}
     pos = 1
     for j in range(1, n + 1):

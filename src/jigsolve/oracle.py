@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .grid import Assembly, PieceBag, Puzzle, piece_at, positions_row_major
+from .grid import Assembly, PieceBag, Puzzle, pieces_row_major, positions_row_major
 from .windows import WindowAssembly
 
 #: Default cap on enumerated assemblies.
@@ -39,6 +39,8 @@ def enumerate_feasible_assemblies(bag: PieceBag, limit: int = DEFAULT_LIMIT) -> 
     its left and the piece below. Raises :class:`LimitExceededError` when
     more than ``limit`` assemblies exist.
     """
+    if limit < 1:
+        raise ValueError("limit must be positive")
     n = bag.n
     pieces = bag.pieces
     num = n * n
@@ -82,7 +84,7 @@ def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessR
     n = puzzle.n
     order = positions_row_major(n)
     slot = {v: ix for ix, v in enumerate(order)}
-    bag = PieceBag(n, puzzle.q, tuple(piece_at(puzzle, v) for v in order))
+    bag = PieceBag(n, puzzle.q, tuple(pieces_row_major(puzzle)))
     assemblies = enumerate_feasible_assemblies(bag, limit)
 
     unique_edge = True

@@ -11,9 +11,12 @@ separately so the others stay informative at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from .grid import (
     Assembly,
@@ -23,7 +26,7 @@ from .grid import (
     PieceBag,
     Puzzle,
     edge_in_direction,
-    piece_at,
+    pieces_row_major,
     positions_row_major,
 )
 from .windows import DEFAULT_BUDGET, CandidateStatus, candidate_neighborhoods
@@ -75,7 +78,7 @@ def check_typical(
     if 2 * k >= n:
         raise ValueError("need k < n/2")
     order = positions_row_major(n)
-    bag = PieceBag(n, puzzle.q, tuple(piece_at(puzzle, v) for v in order))
+    bag = PieceBag(n, puzzle.q, tuple(pieces_row_major(puzzle)))
     planted = Assembly({v: ix for ix, v in enumerate(order)})
     statuses = candidate_neighborhoods(bag, k, budget)
     return report_from_candidates(puzzle, planted, statuses, k, c_prime)
@@ -97,17 +100,17 @@ def report_from_candidates(
     n = puzzle.n
     placement = planted.placement
     core_lo, core_hi = k + 1, n - k
-
-    def is_core(v: Coord) -> bool:
-        return core_lo <= v[0] <= core_hi and core_lo <= v[1] <= core_hi
+    core_range = range(core_lo, core_hi + 1)
 
     core_unique, core_witness = True, None
-    for v in positions_row_major(n):
-        if is_core(v) and statuses[placement[v]].kind != "unique":
+    for v in ((i, j) for j in core_range for i in core_range):
+        if statuses[placement[v]].kind != "unique":
             core_unique, core_witness = False, (v, statuses[placement[v]].kind)
             break
 
-    peripheral = [v for v in positions_row_major(n) if not is_core(v)]
+    peripheral = [
+        (i, j) for (i, j) in positions_row_major(n) if not (i in core_range and j in core_range)
+    ]
 
     peripheral_consistent, peripheral_witness = True, None
     for v in peripheral:
@@ -122,13 +125,19 @@ def report_from_candidates(
             peripheral_consistent, peripheral_witness = False, (v, "not planted")
             break
 
+    pieces = pieces_row_major(puzzle)
+
+    def piece_of(v: Coord):
+        return pieces[(v[1] - 1) * n + v[0] - 1]
+
     # repeated colors among edges touching the periphery
     edge_colors: dict[EdgeId, int] = {}
     for v in peripheral:
+        piece = piece_of(v)
         for d in DIRECTIONS:
             e = edge_in_direction(v, d)
             if e not in edge_colors:
-                edge_colors[e] = puzzle.edge_color(e)
+                edge_colors[e] = piece[d]
     counts: dict[int, int] = {}
     for c in edge_colors.values():
         counts[c] = counts.get(c, 0) + 1
@@ -146,8 +155,7 @@ def report_from_candidates(
     pair_sharing_ok, pair_witness = True, None
     seen_pairs: dict[tuple[int, int], Coord] = {}
     for v in peripheral:
-        piece = piece_at(puzzle, v)
-        for key in _color_pairs(piece):
+        for key in _color_pairs(piece_of(v)):
             prev = seen_pairs.get(key)
             if prev is None:
                 seen_pairs[key] = v
@@ -156,17 +164,15 @@ def report_from_candidates(
         if not pair_sharing_ok:
             break
 
-    # every color pair must be on at most c_prime * k pieces (all pieces)
-    threshold = c_prime * k
-    pair_counts: dict[tuple[int, int], int] = {}
-    for v in positions_row_major(n):
-        piece = piece_at(puzzle, v)
-        for key in set(_color_pairs(piece)):
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-    # the smallest over-threshold pair; an int compares exactly with a Fraction
-    color_pair_witness = min(
-        ((key, count) for key, count in pair_counts.items() if count > threshold), default=None
-    )
+    # every color pair must be on at most c_prime * k pieces (all pieces);
+    # an integer count exceeds the threshold exactly when it exceeds its floor
+    limit = math.floor(c_prime * k)
+    pairs, pair_counts = _pair_counts(puzzle)
+    over = np.flatnonzero(pair_counts > limit)
+    color_pair_witness = None
+    if over.size:
+        a, b = pairs[over[0]].tolist()
+        color_pair_witness = ((a, b), int(pair_counts[over[0]]))
 
     return TypicalityReport(
         k=k,
@@ -206,3 +212,24 @@ def _color_pairs(piece) -> list[tuple[int, int]]:
             ca, cb = piece[a], piece[b]
             out.append((ca, cb) if ca <= cb else (cb, ca))
     return out
+
+
+def _pair_counts(puzzle: Puzzle) -> tuple[np.ndarray, np.ndarray]:
+    """Every jig color pair with the number of pieces holding it.
+
+    Returns ``(pairs, counts)``: ``pairs`` has one sorted ``(a, b)`` row
+    per distinct pair, ascending, and ``counts[i]`` counts the pieces
+    with ``pairs[i]`` among the six pairs of their four colors.
+    """
+    h, w = puzzle.hcolors, puzzle.vcolors
+    sides = np.stack([h[1:], w[:, 1:], h[:-1], w[:, :-1]], axis=-1).reshape(-1, 4)
+    # colors ranked densely, so a pair key fits int64 whatever q is
+    colors, ranks = np.unique(sides, return_inverse=True)
+    ranks = np.sort(ranks.reshape(-1, 4), axis=1)
+    stride = len(colors)
+    a, b = np.triu_indices(4, 1)
+    keys = np.sort(ranks[:, a] * stride + ranks[:, b], axis=1)
+    first = np.ones(keys.shape, dtype=bool)
+    first[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    uniq, counts = np.unique(keys[first], return_counts=True)
+    return colors[np.stack([uniq // stride, uniq % stride], axis=1)], counts

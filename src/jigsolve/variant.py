@@ -193,6 +193,8 @@ def brute_force_variant_solve(
     ``allow_rotations=False`` pins every turn count to zero, reducing the
     search to the base model.
     """
+    if limit < 1:
+        raise ValueError("limit must be positive")
     n, q, iota, sigma = vp.n, vp.q, vp.iota, vp.sigma
     locations = positions_row_major(n)
     homes = positions_row_major(n)

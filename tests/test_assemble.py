@@ -278,7 +278,7 @@ def test_component_offsets_match_planted_translation():
 
 def test_property_iv_style_unique_fills():
     # on a clean accepted puzzle the fill rule never sees two matches
-    from jigsolve.assemble import _matches_at
+    from jigsolve.assemble import _free_edges, _Pool
     from jigsolve.typicality import check_typical
     from fractions import Fraction
 
@@ -291,14 +291,15 @@ def test_property_iv_style_unique_fills():
     }
     for seed_cell in ((4, 1), (n, 4), (4, n), (1, 4)):  # one seed per side
         placement[seed_cell] = planted.placement[seed_cell]
-    pool = sorted(set(range(n * n)) - set(placement.values()))
+    pool = _Pool(bag.pieces, bag.q, sorted(set(range(n * n)) - set(placement.values())))
     open_cells = [v for v in planted.placement if v not in placement]
     while open_cells:
         placed = None
         for cell in open_cells:
-            matches = _matches_at(bag.pieces, placement, pool, cell)
-            if matches is None:
+            wanted = _free_edges(bag.pieces, placement, cell)
+            if len(wanted) < 2:
                 continue
+            matches = pool.matches(wanted)
             assert len(matches) == 1, (cell, matches)
             placed = (cell, matches[0])
             break
@@ -307,7 +308,7 @@ def test_property_iv_style_unique_fills():
             break
         cell, pid = placed
         placement[cell] = pid
-        pool.remove(pid)
+        pool.take(pid)
         open_cells.remove(cell)
         assert pid == planted.placement[cell]
 

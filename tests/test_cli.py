@@ -97,6 +97,40 @@ def test_non_positive_header_exit_code(tmp_path, capsys, command, header, kind):
     assert capsys.readouterr().err == f"error: {kind} file: n and q must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ("0\n", "n must be positive"),
+        ("1\n0\n", "expected an assembly for n=8"),
+        ("2\n0 0\n1 2\n", "piece ids must be 0..3, each once"),
+    ],
+    ids=["zero-header", "other-n", "repeated-id"],
+)
+def test_bad_planted_file_exit_code(tmp_path, capsys, content, named):
+    bagfile = tmp_path / "b.txt"
+    main(["generate", "--n", "8", "--q", "600", "--seed", "1", "--out", str(tmp_path / "p.txt"),
+          "--bag-out", str(bagfile), "--bag-seed", "2"])
+    plantedfile = tmp_path / "a.txt"
+    plantedfile.write_text(content)
+    capsys.readouterr()
+    assert main(["solve", "--in", str(bagfile), "--k", "1", "--planted", str(plantedfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "command, limit",
+    [("oracle", "-1"), ("oracle", "0"), ("variant-oracle", "0")],
+)
+def test_non_positive_limit_exit_code(tmp_path, capsys, command, limit):
+    infile = tmp_path / "in.txt"
+    variant = ["--variant"] if command == "variant-oracle" else []
+    main(["generate", "--n", "3", "--q", "5", *variant, "--out", str(infile)])
+    capsys.readouterr()
+    assert main([command, "--in", str(infile), "--limit", limit]) == 2
+    assert capsys.readouterr().err == "error: limit must be positive\n"
+
+
 def test_typical_output(tmp_path, capsys):
     puzfile = tmp_path / "p.txt"
     p = generate(6, 10**5, seed=2)

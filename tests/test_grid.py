@@ -116,6 +116,17 @@ def test_disassemble_round_trip(seed):
         assert bag.pieces[planted.placement[v]] == piece_at(p, v)
 
 
+def test_disassemble_pieces_match_piece_at():
+    for n in (1, 2, 5, 9):
+        for q in (1, 7, 10**6):
+            for seed in range(3):
+                p = generate(n, q, seed=seed)
+                bag, planted = disassemble(p, seed + 10)
+                assert sorted(planted.placement.values()) == list(range(n * n))
+                for v, pid in planted.placement.items():
+                    assert bag.pieces[pid] == piece_at(p, v)
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
 @settings(max_examples=25, deadline=None)
 def test_planted_always_feasible(seed, n):

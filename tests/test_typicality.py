@@ -43,8 +43,9 @@ def test_color_pair_property_unsatisfiable_at_small_k():
 
 
 def test_color_pair_witness_is_smallest_over_threshold_pair():
-    # at c' = 1 the threshold is k = 1: the witness is the smallest jig color
-    # pair held by two or more pieces, recounted here piece by piece
+    # the witness is the smallest jig color pair held by more than c' * k
+    # pieces, recounted here piece by piece; the thresholds c' * k include
+    # values below 1, integers and non-integers
     n = 4
     order = positions_row_major(n)
     planted = Assembly({v: ix for ix, v in enumerate(order)})
@@ -54,7 +55,7 @@ def test_color_pair_witness_is_smallest_over_threshold_pair():
             p = generate(n, q, seed=seed)
             pieces = [piece_at(p, v) for v in order]
             colors = sorted({c for piece in pieces for c in piece})
-            over = []
+            pair_counts = []
             for a in colors:
                 for b in colors[colors.index(a):]:
                     count = sum(
@@ -62,11 +63,13 @@ def test_color_pair_witness_is_smallest_over_threshold_pair():
                         for piece in pieces
                         if any(sorted((piece[i], piece[j])) == [a, b] for i in range(4) for j in range(i + 1, 4))
                     )
-                    if count > 1:
-                        over.append(((a, b), count))
-            report = report_from_candidates(p, planted, statuses, 1, Fraction(1))
-            assert report.color_pair_witness == (over[0] if over else None)
-            assert report.color_pair_ok == (not over)
+                    pair_counts.append(((a, b), count))
+            for c_prime in (Fraction(1, 50), Fraction(1), Fraction(3, 2), Fraction(2)):
+                for k in (1, 2):
+                    over = [(pair, count) for pair, count in pair_counts if count > c_prime * k]
+                    report = report_from_candidates(p, planted, statuses, k, c_prime)
+                    assert report.color_pair_witness == (over[0] if over else None)
+                    assert report.color_pair_ok == (not over)
 
 
 def test_generous_c_prime_can_accept():
