@@ -73,10 +73,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_fraction(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+        if value > 0:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"--c-prime must be a positive rational, got {text!r}")
+
+
 def _cmd_typical(args: argparse.Namespace) -> int:
+    c_prime = typicality.DEFAULT_C_PRIME
+    if args.c_prime is not None:
+        c_prime = _positive_fraction(args.c_prime)
     with open(args.infile) as fh:
         puzzle = grid.read_puzzle(fh)
-    c_prime = Fraction(args.c_prime) if args.c_prime else typicality.DEFAULT_C_PRIME
     report = typicality.check_typical(puzzle, args.k, c_prime, args.budget)
     print(f"core neighborhoods unique: {report.core_unique} (witness {report.core_witness})")
     print(
@@ -204,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("typical", help="check the structural properties")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c-prime", help="threshold constant, e.g. 1/50")
+    p.add_argument("--c-prime", help="positive threshold constant, e.g. 1/50")
     p.add_argument("--budget", type=int, default=windows.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_typical)
 
@@ -226,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the involution stored in the file",
     )
     p.add_argument("--boundary-fixed", action="store_true")
-    p.add_argument("--limit", type=int, default=10**6)
+    p.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT)
     p.set_defaults(func=_cmd_variant_oracle)
 
     p = sub.add_parser("sweep", help="run an experiment grid to CSV")

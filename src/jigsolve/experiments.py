@@ -125,6 +125,9 @@ class SweepConfig:
             m = n - 2 * self.k
             if m < 1 or 2 * m * m < n * n:
                 raise ValueError(f"need 2 (n - 2k)^2 >= n^2; violated at n={n}, k={self.k}")
+        for n, q in self.cells():
+            if q < 1:
+                raise ValueError(f"q must be positive; got q={q} at n={n}")
 
     def cells(self) -> list[tuple[int, int]]:
         out = []
@@ -132,8 +135,15 @@ class SweepConfig:
             if self.qs is not None:
                 out.extend((n, q) for q in self.qs)
             else:
-                out.extend((n, math.ceil(n**alpha)) for alpha in self.alphas)
+                out.extend((n, _q_from_alpha(n, alpha)) for alpha in self.alphas)
         return out
+
+
+def _q_from_alpha(n: int, alpha: float) -> int:
+    try:
+        return math.ceil(n**alpha)
+    except (OverflowError, ValueError):
+        raise ValueError(f"alpha={alpha} gives no finite q at n={n}") from None
 
 
 def sweep_records(config: SweepConfig) -> Iterator[TrialRecord]:

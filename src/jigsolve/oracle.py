@@ -1,15 +1,19 @@
 """Brute-force ground truth at tiny scale.
 
-Everything here is deliberately naive: exhaustive backtracking in
-row-major order with color pruning, no pair indexes, no chain seeding.
-The point is to be an independent reference for the fast enumeration and
-for uniqueness questions, not to be quick.
+Everything here is deliberately naive: no color index, no chain seeding.
+Assemblies are found by backtracking over the board in row-major order;
+windows by breadth-first extension over the window in row-major order,
+in numpy, holding every partial window at once. Both prune only by
+direct color comparison with the left and upper neighbors. The point is
+to be an independent reference for the fast enumeration and for
+uniqueness questions at tiny n, not to be quick.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import NamedTuple
+
+import numpy as np
 
 from .grid import Assembly, PieceBag, Puzzle, pieces_row_major, positions_row_major
 from .windows import WindowAssembly
@@ -110,73 +114,38 @@ def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessR
 def brute_force_windows(bag: PieceBag, center: int, k: int = 1) -> list[WindowAssembly]:
     """Exhaustive enumeration of feasible windows with a given center.
 
-    Window cells are filled row-major from the top-left, the center piece
-    pinned in the middle; candidates are pruned against the left and upper
-    neighbors by direct color comparison.
+    Starting from one empty window, each cell in row-major order extends
+    every partial window by every piece (by ``center`` alone at the
+    middle cell). An extension is kept when the piece matches its left
+    and upper neighbors by direct color comparison and is not yet in the
+    window. The windows come out in ascending order of ``cells``. The cost
+    is O(partial windows x pieces) per cell, so this is for tiny n only.
     """
-    n = bag.n
-    pieces = bag.pieces
-    npieces = len(pieces)
-    side = 2 * k + 1
-    ncells = side * side
-    mid = k * side + k
     RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
-
-    # candidates prefiltered by one matching color; the other constraint
-    # (when the slot has two placed neighbors) is checked directly
-    by_left: defaultdict[int, list[int]] = defaultdict(list)
-    by_up: defaultdict[int, list[int]] = defaultdict(list)
-    for pid, piece in enumerate(pieces):
-        by_left[piece[LEFT]].append(pid)
-        by_up[piece[UP]].append(pid)
-    everyone = list(range(npieces))
-
-    # slot s holds window cell (x, y) with x = s % side - k, y = k - s // side
-    results: list[WindowAssembly] = []
-    chosen = [0] * ncells
-    used = bytearray(npieces)
-    make = WindowAssembly
-    last = ncells - 1
-
-    stack = [iter((center,) if mid == 0 else everyone)]
-    slot = 0
-    while stack:
-        it = stack[-1]
-        in_row = slot % side
-        above_color = pieces[chosen[slot - side]][DOWN] if slot >= side else -1
-        left_color = pieces[chosen[slot - 1]][RIGHT] if in_row else -1
-        check_up = slot >= side and in_row  # left list is primary when both apply
-        is_center = slot == mid
-        for pid in it:
-            if used[pid]:
-                continue
-            piece = pieces[pid]
-            if is_center:
-                if in_row and piece[LEFT] != left_color:
-                    continue
-                if slot >= side and piece[UP] != above_color:
-                    continue
-            elif check_up and piece[UP] != above_color:
-                continue
-            chosen[slot] = pid
-            if slot == last:
-                results.append(make(k, tuple(chosen)))
-                continue
-            used[pid] = 1
-            slot += 1
-            if slot == mid:
-                nxt: tuple[int, ...] | list[int] = (center,)
-            elif slot % side:
-                nxt = by_left[pieces[pid][RIGHT]]
-            else:
-                nxt = by_up[pieces[chosen[slot - side]][DOWN]]
-            stack.append(iter(nxt))
-            break
-        else:
-            stack.pop()
-            if not stack:
-                break
-            slot -= 1
-            used[chosen[slot]] = 0
-
-    return results
+    # each partial window lies in a frame with a blank row above it and a
+    # blank column left of it; the blank piece's colors are 0, which the
+    # comparisons let any color match
+    blank = len(bag.pieces)
+    colors = np.array(bag.pieces + ((0, 0, 0, 0),))
+    side = 2 * k + 1
+    width = side + 1
+    cells = [r * width + c for r in range(1, width) for c in range(1, width)]
+    mid = cells[len(cells) // 2]
+    everyone = np.arange(blank)
+    # ids in the smallest dtype that holds them keep the partial windows small
+    rows = np.full((1, width * width), blank, dtype=np.min_scalar_type(blank))
+    for cell in cells:
+        pids = np.array([center]) if cell == mid else everyone
+        left = colors[rows[:, cell - 1], RIGHT][:, None]
+        up = colors[rows[:, cell - width], DOWN][:, None]
+        fits = (left == 0) | (left == colors[pids, LEFT])
+        fits &= (up == 0) | (up == colors[pids, UP])
+        parent, ix = np.nonzero(fits)  # by parent, then by piece id: the order stays ascending
+        piece = pids[ix]
+        fresh = np.ones(len(piece), dtype=bool)
+        for before in range(width, cell):
+            fresh &= rows[parent, before] != piece
+        rows = rows[parent[fresh]]
+        rows[:, cell] = piece[fresh]
+    columns = rows[:, cells].T.tolist()
+    return [WindowAssembly(k, c) for c in zip(*columns)]

@@ -22,7 +22,7 @@ from typing import TextIO
 import numpy as np
 
 from .grid import Coord, Direction, Puzzle, positions_row_major
-from .oracle import LimitExceededError
+from .oracle import DEFAULT_LIMIT, LimitExceededError
 
 TURNS = (0, 1, 2, 3)
 
@@ -180,7 +180,7 @@ def is_feasible_rot_assembly(vp: VariantPuzzle, a: RotAssembly) -> bool:
 
 def brute_force_variant_solve(
     vp: VariantPuzzle,
-    limit: int = 10**6,
+    limit: int = DEFAULT_LIMIT,
     boundary_fixed: bool = False,
     allow_rotations: bool = True,
 ) -> list[RotAssembly]:

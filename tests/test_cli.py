@@ -142,6 +142,15 @@ def test_typical_output(tmp_path, capsys):
     assert main(["typical", "--in", str(puzfile), "--k", "1", "--c-prime", "1"]) == 0
 
 
+@pytest.mark.parametrize("c_prime", ["1/0", "0", "0/5", "-3", ""])
+def test_non_positive_c_prime_exit_code(tmp_path, capsys, c_prime):
+    puzfile = tmp_path / "p.txt"
+    main(["generate", "--n", "6", "--q", "50", "--out", str(puzfile)])
+    capsys.readouterr()
+    assert main(["typical", "--in", str(puzfile), "--k", "1", "--c-prime", c_prime]) == 2
+    assert capsys.readouterr().err == f"error: --c-prime must be a positive rational, got {c_prime!r}\n"
+
+
 def test_analyze_window(tmp_path, capsys):
     mapfile = tmp_path / "map.txt"
     mapfile.write_text("2\n1 1 -> 1 1\n1 2 -> 3 2\n2 1 -> 3 1\n2 2 -> 1 2\n")
@@ -209,6 +218,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--config", str(cfgfile), "--set", "n30", "--out", str(out)]) == 2
     assert "bad --set override: 'n30'" in capsys.readouterr().err
+    # a q rule with no positive finite q is rejected before --out is opened
+    for rule in ("q=0", "alpha=inf", "alpha=1000"):
+        assert main(["sweep", "--set", "n=30", "--set", rule, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_variant_oracle_involution_cross_check(tmp_path, capsys):

@@ -57,6 +57,13 @@ def test_sweep_config_validation():
         SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, qs=(4,), alphas=(1.5,))
     with pytest.raises(ValueError):
         SweepConfig(ns=(6,), k=1, trials=1, master_seed=0, qs=(4,))  # 2(n-2k)^2 < n^2
+    with pytest.raises(ValueError, match="q must be positive"):
+        SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, qs=(4, 0))
+    with pytest.raises(ValueError, match="q must be positive"):
+        SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, alphas=(-math.inf,))
+    for alpha in (math.inf, 1000.0, math.nan):
+        with pytest.raises(ValueError, match="no finite q"):
+            SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, alphas=(alpha,))
     cfg = SweepConfig(ns=(8,), k=1, trials=2, master_seed=0, alphas=(1.0, 2.0))
     assert cfg.cells() == [(8, 8), (8, 64)]
 

@@ -161,9 +161,11 @@ def test_brute_windows_equal_fast_path():
             fast = {wa.cells for wa in enumerate_windows(bag, k, budget=10**8)}
             brute = set()
             for center in range(n * n):
-                for wa in brute_force_windows(bag, center, k):
-                    assert wa.center == center
-                    brute.add(wa.cells)
+                windows = brute_force_windows(bag, center, k)
+                assert all(wa.center == center for wa in windows)
+                cells = [wa.cells for wa in windows]
+                assert all(a < b for a, b in zip(cells, cells[1:]))  # strictly ascending
+                brute.update(cells)
             assert fast == brute
 
 
