@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 from .assemble import solve
-from .gen import generate
+from .gen import MAX_Q, generate
 from .grid import disassemble
 from .rng import mix_seed
 from .typicality import DEFAULT_C_PRIME, report_from_candidates
@@ -128,6 +128,8 @@ class SweepConfig:
         for n, q in self.cells():
             if q < 1:
                 raise ValueError(f"q must be positive; got q={q} at n={n}")
+            if q > MAX_Q:
+                raise ValueError(f"q must be at most 2**63 - 1; got q={q} at n={n}")
 
     def cells(self) -> list[tuple[int, int]]:
         out = []

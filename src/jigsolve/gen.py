@@ -20,11 +20,14 @@ from .grid import Direction, Puzzle
 from .rng import generator
 from .variant import JigInvolution, VariantPuzzle
 
+#: Largest q whose colors fit the int64 draws.
+MAX_Q = 2**63 - 1
+
 
 def generate(n: int, q: int, seed: int) -> Puzzle:
     """A puzzle with every edge color uniform in [1..q], independently."""
-    if n < 1 or q < 1:
-        raise ValueError("n and q must be positive")
+    if n < 1 or not 1 <= q <= MAX_Q:
+        raise ValueError(f"need n >= 1 and 1 <= q <= 2**63 - 1; got n={n}, q={q}")
     rng = generator(seed)
     hblock = rng.integers(1, q + 1, size=(n, n + 1))
     vblock = rng.integers(1, q + 1, size=(n + 1, n))
@@ -39,8 +42,8 @@ def generate_variant(n: int, q: int, iota: JigInvolution, seed: int) -> VariantP
     is forced to the involution image. Boundary oriented edges (head off
     the board) are free uniform colors.
     """
-    if n < 1 or q < 1:
-        raise ValueError("n and q must be positive")
+    if n < 1 or not 1 <= q <= MAX_Q:
+        raise ValueError(f"need n >= 1 and 1 <= q <= 2**63 - 1; got n={n}, q={q}")
     iota.validate(q)
     rng = generator(seed)
     sigma = np.zeros((n, n, 4), dtype=np.int64)

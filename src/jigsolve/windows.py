@@ -1,27 +1,32 @@
 """Feasible window enumeration over a piece bag through one color index.
 
 A window is a (2k+1)-by-(2k+1) block of distinct pieces whose internal
-edges all match. The bag is indexed once, in a dict keyed by
-``up * (q + 1) + left`` in which color 0 means "unconstrained": every
-piece is filed under (up, left), (0, left), (up, 0) and (0, 0).
+edges all match. Colors are ranked densely, with 0 first, and the bag is
+indexed once, in one sorted array of keys ``up * s + left`` (s the number
+of ranks) in which color 0 means "unconstrained": every piece is filed
+under (up, left), (0, left), (up, 0) and (0, 0).
 
 Cells are placed in growing L-shells from the top-left corner: shell s
 is its right column top-down, then its bottom row left to right. Every
 cell then finds its left and upper neighbors already placed, and in each
-shell past the corner all but two cells are pinned by two colors. A
-neighbor outside the window reads as a sentinel piece whose colors are
-all 0, so every cell's candidates come from the same single lookup,
-keyed by the down color above it and the right color left of it. The
-stream is deterministic: candidates are tried in increasing piece id.
+shell past the corner all but two cells are pinned by two colors. All
+partial windows grow by one cell at a time, breadth first in numpy, each
+looking its candidates up by the down color above the cell and the right
+color left of it; a neighbor outside the window reads as a sentinel
+column of color 0. Parents keep their order and candidates come in
+increasing piece id, so the stream is lexicographic in cell order. The
+budget counts candidate rows, checked before each cell's are allocated.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .grid import Piece, PieceBag
+import numpy as np
 
-#: Default cap on explored partial assemblies.
+from .grid import PieceBag
+
+#: Default cap on candidate rows materialised by one enumeration.
 DEFAULT_BUDGET = 10**7
 
 
@@ -29,7 +34,7 @@ class BudgetExceededError(Exception):
     """Enumeration aborted; any results gathered so far are incomplete."""
 
     def __init__(self, budget: int):
-        super().__init__(f"window enumeration exceeded the budget of {budget} partial assemblies")
+        super().__init__(f"window enumeration exceeded the budget of {budget} candidate rows")
         self.budget = budget
 
 
@@ -84,8 +89,8 @@ NO_WINDOW = CandidateStatus("none")
 def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[WindowAssembly]:
     """Yield every feasible window assembly of the bag exactly once.
 
-    Raises :class:`BudgetExceededError` once more than ``budget`` partial
-    assemblies (piece placements) have been explored.
+    Raises :class:`BudgetExceededError`, before yielding anything, once
+    more than ``budget`` candidate rows would be materialised.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -94,16 +99,18 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
 
     RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
     npieces = len(bag.pieces)
-    pieces = bag.pieces + (Piece(0, 0, 0, 0),)  # pieces[npieces]: the sentinel
-    stride = bag.q + 1
     side = 2 * k + 1
-    ncells = side * side
 
-    index: dict[int, list[int]] = {}
-    for pid, piece in enumerate(bag.pieces):
-        up, left = piece[UP] * stride, piece[LEFT]
-        for key in (up + left, left, up, 0):
-            index.setdefault(key, []).append(pid)
+    # colors ranked densely, the sentinel's 0 first, so a key fits int64 whatever q is
+    colors, ranks = np.unique(np.array(bag.pieces + ((0, 0, 0, 0),)), return_inverse=True)
+    ranks = ranks.reshape(npieces + 1, 4)
+    stride = len(colors)
+    up, left = ranks[:npieces, UP] * stride, ranks[:npieces, LEFT]
+    keys = np.stack([up + left, left, up, np.zeros_like(up)], axis=1).ravel()
+    order = np.argsort(keys, kind="stable")  # ids stay ascending within a key
+    keys = keys[order]
+    ids = (order // 4).astype(np.min_scalar_type(npieces))
+    below, beside = ranks[:, DOWN] * stride, ranks[:, RIGHT]
 
     # cells as (column, row), row 0 on top, in L-shells from the top-left
     cells: list[tuple[int, int]] = []
@@ -114,44 +121,30 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
     assert all(
         slot_of.get(nb, -1) < s for s, (c, r) in enumerate(cells) for nb in ((c - 1, r), (c, r - 1))
     ), "cell order must place constraints first"
-    # slot ncells is outside the window and always holds the sentinel
-    left_slot = [slot_of.get((c - 1, r), ncells) for c, r in cells]
-    above_slot = [slot_of.get((c, r - 1), ncells) for c, r in cells]
-    canon = [r * side + c for c, r in cells]
+    # row column 0 holds the sentinel, slot s is column s + 1
+    left_col = [slot_of.get((c - 1, r), -1) + 1 for c, r in cells]
+    above_col = [slot_of.get((c, r - 1), -1) + 1 for c, r in cells]
+    canon = [slot_of[(c, r)] + 1 for r in range(side) for c in range(side)]
 
-    get = index.get
-    used = bytearray(npieces)
-    slots = [npieces] * (ncells + 1)
-    out = [0] * ncells
-    explored = 0
-    last = ncells - 1
-    stack: list[Iterator[int]] = [iter(index[0])]
-    depth = 0
-    make = WindowAssembly
+    rows = np.full((1, 1), npieces, dtype=ids.dtype)
+    materialised = 0
+    for a, b in zip(above_col, left_col):
+        key = below[rows[:, a]] + beside[rows[:, b]]
+        lo = np.searchsorted(keys, key, "left")
+        cnt = np.searchsorted(keys, key, "right") - lo
+        materialised += int(cnt.sum())
+        if materialised > budget:
+            raise BudgetExceededError(budget)
+        parent = np.repeat(np.arange(len(rows)), cnt)
+        piece = ids[np.arange(len(parent)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
+        fresh = np.ones(len(parent), dtype=bool)
+        for col in range(1, rows.shape[1]):
+            fresh &= rows[parent, col] != piece
+        rows = np.column_stack((rows[parent[fresh]], piece[fresh]))
 
-    while stack:
-        for pid in stack[-1]:
-            if used[pid]:
-                continue
-            explored += 1
-            if explored > budget:
-                raise BudgetExceededError(budget)
-            out[canon[depth]] = pid
-            if depth == last:
-                yield make(k, tuple(out))
-                continue
-            slots[depth] = pid
-            used[pid] = 1
-            depth += 1
-            key = pieces[slots[above_slot[depth]]][DOWN] * stride + pieces[slots[left_slot[depth]]][RIGHT]
-            stack.append(iter(get(key, ())))
-            break
-        else:
-            stack.pop()
-            if not stack:
-                break
-            depth -= 1
-            used[slots[depth]] = 0
+    for start in range(0, len(rows), 1024):
+        for window in zip(*rows[start : start + 1024, canon].T.tolist()):
+            yield WindowAssembly(k, window)
 
 
 def aggregate_candidates(

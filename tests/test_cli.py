@@ -219,7 +219,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfgfile), "--set", "n30", "--out", str(out)]) == 2
     assert "bad --set override: 'n30'" in capsys.readouterr().err
     # a q rule with no positive finite q is rejected before --out is opened
-    for rule in ("q=0", "alpha=inf", "alpha=1000"):
+    for rule in ("q=0", f"q={2**63}", "alpha=inf", "alpha=1000"):
         assert main(["sweep", "--set", "n=30", "--set", rule, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()

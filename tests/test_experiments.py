@@ -48,6 +48,7 @@ def test_run_trial_easy_regime_recovers():
 def test_run_trial_records_budget_blowout():
     rec = run_trial(6, 1, 1, seed=0, budget=10**4)
     assert not rec.solved and not rec.planted_match and not rec.typical
+    assert rec.windows_explored == 0  # nothing is yielded before the budget check fails
 
 
 def test_sweep_config_validation():
@@ -61,6 +62,10 @@ def test_sweep_config_validation():
         SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, qs=(4, 0))
     with pytest.raises(ValueError, match="q must be positive"):
         SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, alphas=(-math.inf,))
+    with pytest.raises(ValueError, match="at most 2\\*\\*63 - 1"):
+        SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, qs=(2**63,))
+    with pytest.raises(ValueError, match="at most 2\\*\\*63 - 1"):
+        SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, alphas=(21.0,))
     for alpha in (math.inf, 1000.0, math.nan):
         with pytest.raises(ValueError, match="no finite q"):
             SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, alphas=(alpha,))

@@ -28,6 +28,13 @@ def test_rejects_zero_parameters():
         generate(0, 3, seed=0)
     with pytest.raises(ValueError):
         generate(3, 0, seed=0)
+    # colors are drawn as int64
+    assert generate(2, 2**63 - 1, seed=0).q == 2**63 - 1
+    with pytest.raises(ValueError, match="q <= 2\\*\\*63 - 1"):
+        generate(2, 2**63, seed=0)
+    # q is checked before the involution, which could not be built over 2**63 colors
+    with pytest.raises(ValueError, match="q <= 2\\*\\*63 - 1"):
+        generate_variant(2, 2**63, make_involution(2, "identity"), seed=0)
 
 
 def test_color_frequencies_uniform():

@@ -1,7 +1,16 @@
 import pytest
 
 from jigsolve.gen import generate
-from jigsolve.grid import STEPS, Assembly, disassemble, is_feasible, piece_at, positions_row_major
+from jigsolve.grid import (
+    STEPS,
+    Assembly,
+    Piece,
+    PieceBag,
+    disassemble,
+    is_feasible,
+    piece_at,
+    positions_row_major,
+)
 from jigsolve.oracle import (
     LimitExceededError,
     brute_force_windows,
@@ -158,15 +167,25 @@ def test_brute_windows_equal_fast_path():
         for seed in range(3):
             p = generate(n, q, seed=seed)
             bag, _ = disassemble(p, seed + 1)
-            fast = {wa.cells for wa in enumerate_windows(bag, k, budget=10**8)}
-            brute = set()
+            fast = sorted(wa.cells for wa in enumerate_windows(bag, k, budget=10**8))
+            brute = []
             for center in range(n * n):
                 windows = brute_force_windows(bag, center, k)
                 assert all(wa.center == center for wa in windows)
                 cells = [wa.cells for wa in windows]
                 assert all(a < b for a, b in zip(cells, cells[1:]))  # strictly ascending
-                brute.update(cells)
-            assert fast == brute
+                brute += cells
+            assert fast == sorted(brute)  # as multisets: no window twice
+
+
+def test_brute_windows_equal_fast_path_past_int64_keys():
+    # a key up * (q + 1) + left on raw colors wraps int64 at this q
+    q = 2**32
+    bag = PieceBag(3, q, (Piece(1, 1, 1, 1),) * 8 + (Piece(1, q, 1, 1),))
+    fast = sorted(wa.cells for wa in enumerate_windows(bag, 1))
+    brute = sorted(wa.cells for center in range(9) for wa in brute_force_windows(bag, center, 1))
+    assert len(brute) == 120_960
+    assert fast == brute
 
 
 def test_deviant_only_empty_in_easy_regime():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -69,6 +70,28 @@ def test_budget_exceeded_on_monochromatic():
     bag, _ = disassemble(p, 0)
     with pytest.raises(BudgetExceededError):
         list(enumerate_windows(bag, 1, budget=1000))
+
+
+def test_budget_counts_candidate_rows():
+    # about 3.9 k candidate rows, though a depth-first search places only 1.5 k pieces
+    bag, _ = disassemble(generate(3, 2, 1), 2)
+    with pytest.raises(BudgetExceededError, match="budget of 2000 candidate rows"):
+        list(enumerate_windows(bag, 1, budget=2000))
+    assert len(list(enumerate_windows(bag, 1, budget=4000))) == 52
+
+
+def test_budget_bounds_memory():
+    # one color: every row extends by every piece, so the budget is all that stops it
+    bag, _ = disassemble(generate(30, 1, 0), 0)
+    budget = 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            next(enumerate_windows(bag, 1, budget))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * budget
 
 
 def test_enumerate_validates_arguments():
