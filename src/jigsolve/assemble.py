@@ -12,8 +12,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import STEPS, Assembly, Coord, PieceBag, is_feasible
-from .windows import DEFAULT_BUDGET, BudgetExceededError, CandidateStatus, candidate_neighborhoods
+from .windows import DEFAULT_BUDGET, BudgetExceededError, Candidates, candidate_neighborhoods
 
 
 class ShellStuck(Exception):
@@ -48,56 +50,51 @@ class SolveOutcome:
         return self.assembly is not None
 
 
-def mutual_components(cands: dict[int, CandidateStatus]) -> list[PartialAssembly]:
+def mutual_components(cands: Candidates) -> list[PartialAssembly]:
     """Rigid components of the stable mutual-adjacency relation.
 
     A directed claim counts only where every window of a piece names the
     same neighbor (for unique statuses: its neighborhood); a link needs
-    both directions. With no multiple statuses this is exactly the
-    unique-neighborhood join. Pieces are attached breadth first from the
-    smallest unattached id; a link is dropped when its far piece is
-    already attached or its cell is already taken. Components are
-    normalized to start at (0, 0) and sorted largest first, then by
-    smallest piece id.
+    both directions: piece ``p`` links to ``stable[p, d]`` when that
+    piece's stable claim in direction ``d ^ 2`` is ``p``. With no
+    multiple statuses this is exactly the unique-neighborhood join.
+    Pieces are attached breadth first from the smallest unattached id; a
+    link is dropped when its far piece is already attached or its cell is
+    already taken. Components are normalized to start at (0, 0) and
+    sorted largest first, then by smallest piece id.
     """
-    mutual: dict[int, list[tuple[Coord, int]]] = {pid: [] for pid in cands}
-    for pid, st in cands.items():
-        if st.kind == "none":
-            continue
-        for d, other in enumerate(st.stable):
-            if other is None:
-                continue
-            ost = cands.get(other)
-            if ost is None or ost.kind == "none":
-                continue
-            if ost.stable[d ^ 2] == pid:
-                mutual[pid].append((STEPS[d], other))
+    stable = cands.stable
+    far = np.maximum(stable, 0)  # a -1 claim reads piece 0 here and is masked below
+    back = stable[far, [2, 3, 0, 1]]  # back[p, d] = stable[stable[p, d], d ^ 2]
+    linked = np.where((stable >= 0) & (back == np.arange(len(stable))[:, None]), stable, -1)
+    links = linked.tolist()
+    lone = (linked < 0).all(axis=1).tolist()
 
-    seen: set[int] = set()
+    seen = bytearray(len(links))
     components: list[PartialAssembly] = []
-    for root in sorted(cands):
-        if root in seen:
+    for root in range(len(links)):
+        if seen[root]:
             continue
-        offsets: dict[int, Coord] = {root: (0, 0)}
+        seen[root] = 1
+        if lone[root]:
+            components.append(PartialAssembly({(0, 0): root}))
+            continue
         cells: dict[Coord, int] = {(0, 0): root}
-        queue = deque([root])
-        seen.add(root)
+        queue = deque([(root, 0, 0)])
         while queue:
-            pid = queue.popleft()
-            (x, y) = offsets[pid]
-            for (dx, dy), other in mutual[pid]:
-                pos = (x + dx, y + dy)
-                if other in seen or pos in cells:
+            pid, x, y = queue.popleft()
+            for (dx, dy), other in zip(STEPS, links[pid]):
+                if other < 0 or seen[other]:
                     continue
-                offsets[other] = pos
+                pos = (x + dx, y + dy)
+                if pos in cells:
+                    continue
                 cells[pos] = other
-                seen.add(other)
-                queue.append(other)
-        minx = min(x for x, _ in offsets.values())
-        miny = min(y for _, y in offsets.values())
-        components.append(
-            PartialAssembly({(x - minx, y - miny): pid for pid, (x, y) in offsets.items()})
-        )
+                seen[other] = 1
+                queue.append((other, *pos))
+        minx = min(x for x, _ in cells)
+        miny = min(y for _, y in cells)
+        components.append(PartialAssembly({(x - minx, y - miny): pid for (x, y), pid in cells.items()}))
 
     components.sort(key=lambda c: (-c.size, min(c.placement.values())))
     return components
@@ -320,7 +317,7 @@ def solve(
     n: int,
     k: int,
     budget: int = DEFAULT_BUDGET,
-    candidates: dict[int, CandidateStatus] | None = None,
+    candidates: Candidates | None = None,
 ) -> SolveOutcome:
     """Full reconstruction pipeline over a shuffled bag.
 
@@ -350,7 +347,7 @@ def solve(
     # Recovery still joins on direction claims that are constant across
     # all of a piece's windows and mutually confirmed; if that pipeline
     # cannot finish, the step-1 verdict is reported.
-    multiples = any(st.kind == "multiple" for st in candidates.values())
+    multiples = bool(candidates.multiple.any())
 
     components = mutual_components(candidates)
     largest = components[0]

@@ -58,24 +58,19 @@ def run_trial(n: int, q: int, k: int, seed: int, budget: int = DEFAULT_BUDGET) -
     puzzle = generate(n, q, seed)
     bag, planted = disassemble(puzzle, mix_seed(seed, _SHUFFLE_TAG))
 
-    windows_seen = 0
-
-    def counting() -> Iterator:
-        nonlocal windows_seen
-        for wa in enumerate_windows(bag, k, budget):
-            windows_seen += 1
-            yield wa
-
     typical = False
     solved = False
     planted_match = False
     multi = 0
+    windows_explored = 0
     try:
-        statuses = aggregate_candidates(len(bag.pieces), counting())
+        statuses = aggregate_candidates(len(bag.pieces), enumerate_windows(bag, k, budget))
     except BudgetExceededError:
         statuses = None
     if statuses is not None:
-        multi = sum(1 for st in statuses.values() if st.kind == "multiple")
+        # every window has exactly one center
+        windows_explored = int(statuses.windows.sum())
+        multi = int(statuses.multiple.sum())
         report = report_from_candidates(puzzle, planted, statuses, k, DEFAULT_C_PRIME)
         typical = report.typical
         outcome = solve(bag, n, k, budget, candidates=statuses)
@@ -93,7 +88,7 @@ def run_trial(n: int, q: int, k: int, seed: int, budget: int = DEFAULT_BUDGET) -
         solved=solved,
         planted_match=planted_match,
         multi_candidate_pieces=multi,
-        windows_explored=windows_seen,
+        windows_explored=windows_explored,
         runtime_ms=runtime_ms,
     )
 

@@ -74,16 +74,14 @@ class EdgeId(NamedTuple):
     j: int
 
 
+#: Orientation and anchor offset of the edge leaving a position, by direction.
+_EDGE_OFFSETS = ((HORIZONTAL, 0, 0), (VERTICAL, 0, 0), (HORIZONTAL, -1, 0), (VERTICAL, 0, -1))
+
+
 def edge_in_direction(v: Coord, d: Direction) -> EdgeId:
     """The edge leaving position ``v`` in direction ``d``."""
-    i, j = v
-    if d == Direction.RIGHT:
-        return EdgeId(HORIZONTAL, i, j)
-    if d == Direction.LEFT:
-        return EdgeId(HORIZONTAL, i - 1, j)
-    if d == Direction.UP:
-        return EdgeId(VERTICAL, i, j)
-    return EdgeId(VERTICAL, i, j - 1)
+    orient, di, dj = _EDGE_OFFSETS[d]
+    return EdgeId(orient, v[0] + di, v[1] + dj)
 
 
 class Piece(NamedTuple):

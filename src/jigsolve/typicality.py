@@ -29,7 +29,7 @@ from .grid import (
     pieces_row_major,
     positions_row_major,
 )
-from .windows import DEFAULT_BUDGET, CandidateStatus, candidate_neighborhoods
+from .windows import DEFAULT_BUDGET, Candidates, candidate_neighborhoods
 
 #: Default constant for the color-pair property.
 DEFAULT_C_PRIME = Fraction(1, 50)
@@ -87,7 +87,7 @@ def check_typical(
 def report_from_candidates(
     puzzle: Puzzle,
     planted: Assembly,
-    statuses: dict[int, CandidateStatus],
+    statuses: Candidates,
     k: int,
     c_prime: Fraction = DEFAULT_C_PRIME,
 ) -> TypicalityReport:
@@ -99,42 +99,41 @@ def report_from_candidates(
     """
     n = puzzle.n
     placement = planted.placement
-    core_lo, core_hi = k + 1, n - k
-    core_range = range(core_lo, core_hi + 1)
+    core_range = range(k + 1, n - k + 1)
+    # the ring outside the core, row-major, and the pieces planted on it
+    rim = [*range(1, k + 1), *range(n - k + 1, n + 1)]
+    peripheral = [(i, j) for j in range(1, n + 1) for i in (rim if j in core_range else range(1, n + 1))]
+    ring = [placement[v] for v in peripheral]
 
     core_unique, core_witness = True, None
-    for v in ((i, j) for j in core_range for i in core_range):
-        if statuses[placement[v]].kind != "unique":
-            core_unique, core_witness = False, (v, statuses[placement[v]].kind)
-            break
-
-    peripheral = [
-        (i, j) for (i, j) in positions_row_major(n) if not (i in core_range and j in core_range)
-    ]
+    off = ~statuses.unique
+    off[ring] = False  # core pieces without a unique neighborhood
+    if off.any():
+        bad = set(np.flatnonzero(off).tolist())
+        v = min((v for v, pid in placement.items() if pid in bad), key=lambda v: (v[1], v[0]))
+        core_unique, core_witness = False, (v, "multiple" if statuses.multiple[placement[v]] else "none")
 
     peripheral_consistent, peripheral_witness = True, None
-    for v in peripheral:
-        st = statuses[placement[v]]
-        if st.kind == "none":
-            continue
-        if st.kind == "multiple":
+    for ix in np.flatnonzero(statuses.windows[ring]).tolist():
+        v, pid = peripheral[ix], ring[ix]
+        if statuses.multiple[pid]:
             peripheral_consistent, peripheral_witness = False, (v, "multiple")
             break
-        expected = _planted_neighborhood(placement, v, n)
-        if expected is None or st.stable != expected:
+        if tuple(statuses.stable[pid].tolist()) != _planted_neighborhood(placement, v, n):
             peripheral_consistent, peripheral_witness = False, (v, "not planted")
             break
 
-    pieces = pieces_row_major(puzzle)
+    h, w = puzzle.hcolors.tolist(), puzzle.vcolors.tolist()
 
-    def piece_of(v: Coord):
-        return pieces[(v[1] - 1) * n + v[0] - 1]
+    def piece_of(v: Coord) -> tuple[int, int, int, int]:
+        i, j = v
+        return h[i][j - 1], w[i - 1][j], h[i - 1][j - 1], w[i - 1][j - 1]
 
     # repeated colors among edges touching the periphery
     edge_colors: dict[EdgeId, int] = {}
     for v in peripheral:
         piece = piece_of(v)
-        for d in DIRECTIONS:
+        for d in range(4):
             e = edge_in_direction(v, d)
             if e not in edge_colors:
                 edge_colors[e] = piece[d]

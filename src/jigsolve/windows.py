@@ -16,10 +16,20 @@ color left of it; a neighbor outside the window reads as a sentinel
 column of color 0. Parents keep their order and candidates come in
 increasing piece id, so the stream is lexicographic in cell order. The
 budget counts candidate rows, checked before each cell's are allocated.
+A cell with more candidate rows than ``_CHUNK_ROWS`` is expanded a run
+of parents at a time, which bounds its index temporaries and leaves the
+stream as it is.
+
+:func:`aggregate_candidates` folds the stream into :class:`Candidates`:
+per piece, the neighbors that all of its windows agree on, as one array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, ValuesView
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -28,6 +38,9 @@ from .grid import PieceBag
 
 #: Default cap on candidate rows materialised by one enumeration.
 DEFAULT_BUDGET = 10**7
+
+#: A cell with more candidate rows than this is expanded in chunks of parents.
+_CHUNK_ROWS = 1 << 18
 
 
 class BudgetExceededError(Exception):
@@ -86,6 +99,60 @@ class CandidateStatus(NamedTuple):
 NO_WINDOW = CandidateStatus("none")
 
 
+class Candidates(Mapping[int, CandidateStatus]):
+    """Candidate statuses of the pieces ``0..N-1``, held as arrays.
+
+    ``stable`` is (N, 4): ``stable[pid, d]`` is the neighbor in direction
+    ``d`` that every window centered on ``pid`` claims, or -1 where those
+    windows disagree or there are none. ``windows[pid]`` counts the
+    windows centered on ``pid``. A piece is "unique" when it has windows
+    and no -1, "multiple" when it has windows and some -1, else "none".
+    Read as a mapping, it gives each piece's :class:`CandidateStatus`;
+    all of them are built together on first access, and pieces without
+    windows share ``NO_WINDOW``.
+    """
+
+    def __init__(self, stable: np.ndarray, windows: np.ndarray):
+        self.stable = stable
+        self.windows = windows
+        seen = windows > 0
+        self.unique = seen & (stable >= 0).all(axis=1)
+        self.multiple = seen & ~self.unique
+
+    def __len__(self) -> int:
+        return len(self.windows)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.windows)))
+
+    def __getitem__(self, pid: int) -> CandidateStatus:
+        try:
+            if 0 <= pid < len(self.windows):
+                return self._views[pid]
+        except TypeError:
+            pass
+        raise KeyError(pid)
+
+    def values(self) -> ValuesView[CandidateStatus]:
+        return _StatusValues(self)
+
+    @cached_property
+    def _views(self) -> list[CandidateStatus]:
+        rows = self.stable.tolist()
+        views = [NO_WINDOW] * len(rows)
+        make = tuple.__new__  # CandidateStatus(...) without the Python-level __new__
+        for pid in np.flatnonzero(self.unique).tolist():
+            views[pid] = make(CandidateStatus, ("unique", tuple(rows[pid])))
+        for pid in np.flatnonzero(self.multiple).tolist():
+            views[pid] = make(CandidateStatus, ("multiple", tuple(None if c < 0 else c for c in rows[pid])))
+        return views
+
+
+class _StatusValues(ValuesView):
+    def __iter__(self) -> Iterator[CandidateStatus]:
+        return iter(self._mapping._views)
+
+
 def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[WindowAssembly]:
     """Yield every feasible window assembly of the bag exactly once.
 
@@ -132,52 +199,62 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
         key = below[rows[:, a]] + beside[rows[:, b]]
         lo = np.searchsorted(keys, key, "left")
         cnt = np.searchsorted(keys, key, "right") - lo
-        materialised += int(cnt.sum())
+        total = int(cnt.sum())
+        materialised += total
         if materialised > budget:
             raise BudgetExceededError(budget)
-        parent = np.repeat(np.arange(len(rows)), cnt)
-        piece = ids[np.arange(len(parent)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
-        fresh = np.ones(len(parent), dtype=bool)
-        for col in range(1, rows.shape[1]):
-            fresh &= rows[parent, col] != piece
-        rows = np.column_stack((rows[parent[fresh]], piece[fresh]))
+        if total <= _CHUNK_ROWS:
+            rows = _extend(rows, lo, cnt, ids)
+        else:  # bounded int64 temporaries: parents in order, a chunk at a time
+            cuts = np.searchsorted(np.cumsum(cnt), np.arange(_CHUNK_ROWS, total, _CHUNK_ROWS))
+            edges = [0, *cuts.tolist(), len(rows)]
+            rows = np.concatenate(
+                [_extend(rows[i:j], lo[i:j], cnt[i:j], ids) for i, j in zip(edges, edges[1:]) if i < j]
+            )
 
     for start in range(0, len(rows), 1024):
         for window in zip(*rows[start : start + 1024, canon].T.tolist()):
             yield WindowAssembly(k, window)
 
 
-def aggregate_candidates(
-    num_pieces: int, windows: Iterator[WindowAssembly]
-) -> dict[int, CandidateStatus]:
-    """Fold a window stream into per-piece candidate statuses.
+def _extend(rows: np.ndarray, lo: np.ndarray, cnt: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Extend each row by each of its candidates ``ids[lo:lo + cnt]`` that it
+    does not hold yet; parents keep their order and candidates ascend."""
+    parent = np.repeat(np.arange(len(rows)), cnt)
+    piece = ids[np.arange(len(parent)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
+    fresh = np.ones(len(parent), dtype=bool)
+    for col in range(1, rows.shape[1]):
+        fresh &= rows[parent, col] != piece
+    return np.column_stack((rows[parent[fresh]], piece[fresh]))
 
-    Order independent: the result depends only on the set of windows. A
-    piece is "multiple" exactly when two of its windows disagree on some
-    neighbor, which leaves a None in its ``stable``.
+
+def aggregate_candidates(num_pieces: int, windows: Iterator[WindowAssembly]) -> Candidates:
+    """Fold a window stream into the candidate statuses of pieces ``0..num_pieces-1``.
+
+    Each window becomes one row: its center and the four neighbors of the
+    center. A direction is stable for a piece exactly when the grouped
+    minimum of its column over the piece's windows equals the grouped
+    maximum, so the result depends only on the multiset of windows, not
+    on their order.
     """
-    stable: dict[int, list[int | None]] = {}
-    for wa in windows:
-        nb = wa.neighborhood()
-        agreed = stable.get(wa.center)
-        if agreed is None:
-            stable[wa.center] = list(nb)
-            continue
-        for d in range(4):
-            if agreed[d] != nb[d]:
-                agreed[d] = None
-    statuses: dict[int, CandidateStatus] = {}
-    for pid in range(num_pieces):
-        agreed = stable.get(pid)
-        if agreed is None:
-            statuses[pid] = NO_WINDOW
-        else:
-            statuses[pid] = CandidateStatus("multiple" if None in agreed else "unique", tuple(agreed))
-    return statuses
+    lo = np.full((num_pieces, 4), num_pieces, dtype=np.int64)
+    hi = np.full((num_pieces, 4), -1, dtype=np.int64)
+    count = np.zeros(num_pieces, dtype=np.int64)
+    stream = iter(windows)
+    first = next(stream, None)
+    if first is not None:
+        side = first.side
+        mid = first.k * side + first.k
+        pick = itemgetter(mid, mid + 1, mid - side, mid - 1, mid + side)
+        cells = map(pick, map(attrgetter("cells"), chain((first,), stream)))
+        rows = np.fromiter(chain.from_iterable(cells), dtype=np.int64).reshape(-1, 5)
+        center, claims = rows[:, 0], rows[:, 1:]
+        count = np.bincount(center, minlength=num_pieces)
+        np.minimum.at(lo, center, claims)
+        np.maximum.at(hi, center, claims)
+    return Candidates(np.where(lo == hi, lo, -1), count)
 
 
-def candidate_neighborhoods(
-    bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET
-) -> dict[int, CandidateStatus]:
+def candidate_neighborhoods(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Candidates:
     """Candidate status of every piece, from the full window stream."""
     return aggregate_candidates(len(bag.pieces), enumerate_windows(bag, k, budget))

@@ -6,6 +6,7 @@ import numpy as np
 
 from jigsolve.constraints import WindowMap
 from jigsolve.grid import Puzzle
+from jigsolve.windows import Candidates
 
 
 def random_window_map(rng: random.Random, k: int, n: int, full: bool = False) -> WindowMap:
@@ -43,3 +44,15 @@ def all_distinct_puzzle(n: int) -> Puzzle:
     total = (n + 1) * n * 2
     puzzle = explicit_puzzle(n, total, fill)
     return puzzle
+
+
+def claimed_candidates(num_pieces: int, claims: dict) -> Candidates:
+    """Candidates of pieces ``0..num_pieces-1`` in which each piece of
+    ``claims`` saw one window, naming its (right, up, left, down)
+    neighbors; every other piece saw none."""
+    stable = np.full((num_pieces, 4), -1, dtype=np.int64)
+    windows = np.zeros(num_pieces, dtype=np.int64)
+    for pid, neighbors in claims.items():
+        stable[pid] = neighbors
+        windows[pid] = 1
+    return Candidates(stable, windows)

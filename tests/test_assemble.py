@@ -13,15 +13,11 @@ from jigsolve.assemble import (
 from jigsolve.gen import generate
 from jigsolve.grid import disassemble, is_feasible, positions_row_major
 from jigsolve.oracle import LimitExceededError, enumerate_feasible_assemblies
-from jigsolve.windows import CandidateStatus, NO_WINDOW
-
-
-def unique_status(r, u, l, d):
-    return CandidateStatus("unique", (r, u, l, d))
+from helpers import claimed_candidates
 
 
 def test_join_all_none_gives_singletons():
-    cands = {pid: NO_WINDOW for pid in range(9)}
+    cands = claimed_candidates(9, {})
     comps = mutual_components(cands)
     assert len(comps) == 9
     assert all(c.size == 1 for c in comps)
@@ -29,24 +25,15 @@ def test_join_all_none_gives_singletons():
 
 def test_join_mutual_pair():
     # 0 sits left of 1; both confirm each other
-    cands = {
-        0: unique_status(1, 7, 8, 9),
-        1: unique_status(6, 5, 0, 4),
-    }
-    for pid in (4, 5, 6, 7, 8, 9):
-        cands[pid] = NO_WINDOW
+    cands = claimed_candidates(10, {0: (1, 7, 8, 9), 1: (6, 5, 0, 4)})
     comps = mutual_components(cands)
     assert comps[0].size == 2
     assert comps[0].placement == {(0, 0): 0, (1, 0): 1}
 
 
 def test_join_one_directional_claim_ignored():
-    cands = {
-        0: unique_status(1, 7, 8, 9),
-        1: unique_status(6, 5, 3, 4),  # does not name 0 as its left
-    }
-    for pid in (3, 4, 5, 6, 7, 8, 9):
-        cands[pid] = NO_WINDOW
+    # 1 does not name 0 as its left
+    cands = claimed_candidates(10, {0: (1, 7, 8, 9), 1: (6, 5, 3, 4)})
     comps = mutual_components(cands)
     assert all(c.size == 1 for c in comps)
 
@@ -54,15 +41,16 @@ def test_join_one_directional_claim_ignored():
 def test_join_offset_conflict():
     # two mutual paths derive different pieces at the same cell:
     # 0-R->1-U->2 puts 2 at (1,1); 0-U->3-R->4 puts 4 there too
-    cands = {
-        0: unique_status(1, 3, 80, 81),
-        1: unique_status(82, 2, 0, 83),
-        2: unique_status(84, 85, 86, 1),
-        3: unique_status(4, 87, 88, 0),
-        4: unique_status(89, 90, 3, 91),
-    }
-    for pid in range(80, 92):
-        cands[pid] = NO_WINDOW
+    cands = claimed_candidates(
+        92,
+        {
+            0: (1, 3, 80, 81),
+            1: (82, 2, 0, 83),
+            2: (84, 85, 86, 1),
+            3: (4, 87, 88, 0),
+            4: (89, 90, 3, 91),
+        },
+    )
     # the join drops the colliding link
     comps = mutual_components(cands)
     assert comps[0].size == 4
@@ -70,27 +58,22 @@ def test_join_offset_conflict():
     assert {c.size for c in comps[1:]} == {1}
 
 
-def planted_candidates(n, seed, shuffle_seed):
+def planted_claims(n, seed, shuffle_seed):
     # hand-built planted unique statuses: interior pieces name their true neighbors
     bag, planted = disassemble(generate(n, 10**6, seed=seed), shuffle_seed)
     placement = planted.placement
-    cands = {}
+    claims = {}
     for v in positions_row_major(n):
-        neighbors = []
-        for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
-            w = (v[0] + dx, v[1] + dy)
-            neighbors.append(placement.get(w))
-        if any(x is None for x in neighbors):
-            cands[placement[v]] = NO_WINDOW
-        else:
-            cands[placement[v]] = unique_status(*neighbors)
-    return bag, planted, cands
+        neighbors = [placement.get((v[0] + dx, v[1] + dy)) for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+        if None not in neighbors:
+            claims[placement[v]] = neighbors
+    return bag, planted, claims
 
 
 def test_solve_on_planted_grid_candidates():
     n = 4
-    bag, planted, cands = planted_candidates(n, 2, 21)
-    out = solve(bag, n, 1, candidates=cands)
+    bag, planted, claims = planted_claims(n, 2, 21)
+    out = solve(bag, n, 1, candidates=claimed_candidates(n * n, claims))
     assert out.solved
     assert out.assembly.placement == planted.placement
 
@@ -100,8 +83,9 @@ def test_solve_best_cover_core_with_hole(hole):
     # one core piece without a window: no fully occupied core square exists,
     # so solve grows from the best-covering square and fills the hole
     n = 6
-    bag, planted, cands = planted_candidates(n, 2, 21)
-    cands[planted.placement[hole]] = NO_WINDOW
+    bag, planted, claims = planted_claims(n, 2, 21)
+    del claims[planted.placement[hole]]
+    cands = claimed_candidates(n * n, claims)
     largest = mutual_components(cands)[0]
     assert largest.size == (n - 2) ** 2 - 1
     assert core_guesses(largest, n, 1) == [(0, 0)]

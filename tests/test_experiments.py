@@ -8,6 +8,10 @@ from pathlib import Path
 import pytest
 
 import jigsolve
+from jigsolve.gen import generate
+from jigsolve.grid import disassemble
+from jigsolve.rng import mix_seed
+from jigsolve.windows import candidate_neighborhoods, enumerate_windows
 from jigsolve.experiments import (
     CSV_HEADER,
     SweepConfig,
@@ -25,6 +29,15 @@ def test_run_trial_deterministic():
     assert (a.typical, a.solved, a.planted_match) == (b.typical, b.solved, b.planted_match)
     assert a.multi_candidate_pieces == b.multi_candidate_pieces
     assert a.windows_explored == b.windows_explored
+
+
+@pytest.mark.parametrize("n, q, k, seed", [(12, 60, 1, 3), (30, 231, 1, 5), (6, 12, 2, 1)])
+def test_run_trial_counts_match_the_window_stream(n, q, k, seed):
+    record = run_trial(n, q, k, seed)
+    bag, _ = disassemble(generate(n, q, seed), mix_seed(seed, 1))
+    statuses = candidate_neighborhoods(bag, k)
+    assert record.windows_explored == len(list(enumerate_windows(bag, k)))
+    assert record.multi_candidate_pieces == sum(st.kind == "multiple" for st in statuses.values())
 
 
 def test_run_trial_implications():

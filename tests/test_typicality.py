@@ -6,8 +6,8 @@ from jigsolve.assemble import solve
 from jigsolve.gen import generate
 from jigsolve.grid import Assembly, disassemble, piece_at, positions_row_major
 from jigsolve.typicality import DEFAULT_C_PRIME, check_typical, report_from_candidates
-from jigsolve.windows import NO_WINDOW, BudgetExceededError, candidate_neighborhoods
-from helpers import explicit_puzzle
+from jigsolve.windows import BudgetExceededError, candidate_neighborhoods
+from helpers import claimed_candidates, explicit_puzzle
 
 
 def test_default_constant():
@@ -49,7 +49,7 @@ def test_color_pair_witness_is_smallest_over_threshold_pair():
     n = 4
     order = positions_row_major(n)
     planted = Assembly({v: ix for ix, v in enumerate(order)})
-    statuses = {ix: NO_WINDOW for ix in range(n * n)}  # the pair check ignores windows
+    statuses = claimed_candidates(n * n, {})  # the pair check ignores windows
     for q in (1, 3, 12, 40, 10**6):
         for seed in range(4):
             p = generate(n, q, seed=seed)

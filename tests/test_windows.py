@@ -1,14 +1,19 @@
 import random
 import tracemalloc
+from collections import Counter
+from collections.abc import Mapping
 
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import assume, given, settings, strategies
 
+from jigsolve import windows
 from jigsolve.gen import generate
 from jigsolve.grid import disassemble
 from jigsolve.windows import (
+    NO_WINDOW,
     BudgetExceededError,
     CandidateNeighborhood,
+    CandidateStatus,
     WindowAssembly,
     aggregate_candidates,
     candidate_neighborhoods,
@@ -173,3 +178,73 @@ def test_aggregate_independent_of_stream_order(nq, seed):
     expected = aggregate_candidates(n * n, iter(stream))
     assert aggregate_candidates(n * n, reversed(stream)) == expected
     assert aggregate_candidates(n * n, iter(shuffled)) == expected
+
+
+def fold_windows(num_pieces, stream):
+    """Per-window reference fold: the neighbors every window of a piece agrees on."""
+    agreed = {}
+    for wa in stream:
+        nb = list(wa.neighborhood())
+        seen = agreed.setdefault(wa.center, nb)
+        for d in range(4):
+            if seen[d] != nb[d]:
+                seen[d] = None
+    return {
+        pid: CandidateStatus("multiple" if None in agreed[pid] else "unique", tuple(agreed[pid]))
+        if pid in agreed
+        else NO_WINDOW
+        for pid in range(num_pieces)
+    }
+
+
+@given(
+    n=strategies.integers(3, 6),
+    k=strategies.sampled_from((1, 2)),
+    q_per_n=strategies.integers(1, 4),
+    seed=strategies.integers(0, 10**9),
+)
+@settings(max_examples=60, deadline=None)
+def test_aggregate_matches_per_window_fold(n, k, q_per_n, seed):
+    bag, _ = disassemble(generate(n, q_per_n * n, seed), seed)
+    try:
+        stream = list(enumerate_windows(bag, k, budget=10**6))
+    except BudgetExceededError:
+        assume(False)
+    expected = fold_windows(n * n, stream)
+    got = aggregate_candidates(n * n, iter(stream))
+    for pid in range(n * n):
+        assert (got[pid].kind, got[pid].stable) == (expected[pid].kind, expected[pid].stable)
+    assert got.windows.tolist() == [Counter(wa.center for wa in stream)[pid] for pid in range(n * n)]
+
+
+def test_candidates_mapping_contract():
+    # what the CLI and outside tracers read: a read-only mapping of ids to statuses
+    n = 4
+    bag, _ = disassemble(generate(n, 3, seed=3), 5)
+    got = candidate_neighborhoods(bag, 1, budget=10**7)
+    assert isinstance(got, Mapping)
+    assert len(got) == n * n and list(got) == list(range(n * n))
+    values = list(got.values())
+    assert values == [got[pid] for pid in got] and list(got.items()) == list(enumerate(values))
+    assert all(isinstance(st, CandidateStatus) for st in values)
+    assert all(st is NO_WINDOW for st in values if st.kind == "none")
+    kinds = Counter(st.kind for st in values)
+    assert kinds["unique"] == got.unique.sum() and kinds["multiple"] == got.multiple.sum() > 0
+    assert kinds["none"] == (got.windows == 0).sum()
+    assert got == dict(got.items()) == candidate_neighborhoods(bag, 1, budget=10**7)
+    for missing in (-1, n * n, "0", 1.5, None):
+        assert missing not in got
+        with pytest.raises(KeyError):
+            got[missing]
+    assert got.get(n * n) is None
+
+
+def test_chunked_extension_keeps_the_stream(monkeypatch):
+    # cells past the chunk bound are expanded a few parents at a time,
+    # with the same rows in the same order
+    bag, _ = disassemble(generate(4, 3, seed=3), 5)
+    whole = list(enumerate_windows(bag, 1, budget=10**7))
+    monkeypatch.setattr(windows, "_CHUNK_ROWS", 7)
+    assert list(enumerate_windows(bag, 1, budget=10**7)) == whole
+    monkeypatch.setattr(windows, "_CHUNK_ROWS", 1)
+    assert list(enumerate_windows(bag, 1, budget=10**7)) == whole
