@@ -112,11 +112,9 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
     with open(args.infile) as fh:
         bag = grid.read_bag(fh)
     statuses = windows.candidate_neighborhoods(bag, args.k, args.budget)
-    kinds = {"none": 0, "unique": 0, "multiple": 0}
-    for st in statuses.values():
-        kinds[st.kind] += 1
-    for kind, count in kinds.items():
-        print(f"{kind}: {count}")
+    print(f"none: {int((statuses.windows == 0).sum())}")
+    print(f"unique: {int(statuses.unique.sum())}")
+    print(f"multiple: {int(statuses.multiple.sum())}")
     return 0
 
 

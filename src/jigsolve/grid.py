@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -187,15 +187,15 @@ def piece_at(puzzle: Puzzle, v: Coord) -> Piece:
     )
 
 
+def pieces_at(puzzle: Puzzle, positions: Iterable[Coord]) -> list[Piece]:
+    """``piece_at`` for each of ``positions`` (unchecked), from one read of the color arrays."""
+    h, w = puzzle.hcolors.tolist(), puzzle.vcolors.tolist()
+    return [Piece(h[i][j - 1], w[i - 1][j], h[i - 1][j - 1], w[i - 1][j - 1]) for i, j in positions]
+
+
 def pieces_row_major(puzzle: Puzzle) -> list[Piece]:
     """``piece_at`` for every position, in :func:`positions_row_major` order."""
-    n = puzzle.n
-    h, w = puzzle.hcolors.tolist(), puzzle.vcolors.tolist()
-    return [
-        Piece(h[i][j - 1], w[i - 1][j], h[i - 1][j - 1], w[i - 1][j - 1])
-        for j in range(1, n + 1)
-        for i in range(1, n + 1)
-    ]
+    return pieces_at(puzzle, positions_row_major(puzzle.n))
 
 
 def disassemble(puzzle: Puzzle, seed: int) -> tuple[PieceBag, Assembly]:

@@ -26,6 +26,7 @@ from .grid import (
     PieceBag,
     Puzzle,
     edge_in_direction,
+    pieces_at,
     pieces_row_major,
     positions_row_major,
 )
@@ -123,16 +124,11 @@ def report_from_candidates(
             peripheral_consistent, peripheral_witness = False, (v, "not planted")
             break
 
-    h, w = puzzle.hcolors.tolist(), puzzle.vcolors.tolist()
-
-    def piece_of(v: Coord) -> tuple[int, int, int, int]:
-        i, j = v
-        return h[i][j - 1], w[i - 1][j], h[i - 1][j - 1], w[i - 1][j - 1]
+    ring_pieces = pieces_at(puzzle, peripheral)
 
     # repeated colors among edges touching the periphery
     edge_colors: dict[EdgeId, int] = {}
-    for v in peripheral:
-        piece = piece_of(v)
+    for v, piece in zip(peripheral, ring_pieces):
         for d in range(4):
             e = edge_in_direction(v, d)
             if e not in edge_colors:
@@ -153,8 +149,8 @@ def report_from_candidates(
     # no two peripheral pieces may share a color pair
     pair_sharing_ok, pair_witness = True, None
     seen_pairs: dict[tuple[int, int], Coord] = {}
-    for v in peripheral:
-        for key in _color_pairs(piece_of(v)):
+    for v, piece in zip(peripheral, ring_pieces):
+        for key in _color_pairs(piece):
             prev = seen_pairs.get(key)
             if prev is None:
                 seen_pairs[key] = v
