@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Direction, Puzzle
+from .grid import MAX_Q, Direction, Puzzle
 from .rng import generator
 from .variant import JigInvolution, VariantPuzzle
-
-#: Largest q whose colors fit the int64 draws.
-MAX_Q = 2**63 - 1
 
 
 def generate(n: int, q: int, seed: int) -> Puzzle:

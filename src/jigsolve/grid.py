@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
@@ -38,6 +39,9 @@ import numpy as np
 from .rng import generator
 
 Coord = tuple[int, int]
+
+#: Largest q whose colors fit int64 arrays.
+MAX_Q = 2**63 - 1
 
 HORIZONTAL = "h"
 VERTICAL = "v"
@@ -154,10 +158,20 @@ class PieceBag:
     def __post_init__(self) -> None:
         if self.n < 1 or self.q < 1:
             raise ValueError("n and q must be positive")
+        if self.q > MAX_Q:
+            raise ValueError(f"q must be at most 2**63 - 1; got q={self.q}")
         if len(self.pieces) != self.n * self.n:
             raise ValueError("a bag must hold exactly n^2 pieces")
-        if min(map(min, self.pieces)) < 1 or max(map(max, self.pieces)) > self.q:
+        if min(chain.from_iterable(self.pieces)) < 1 or max(chain.from_iterable(self.pieces)) > self.q:
             raise ValueError(f"piece colors must lie in [1..{self.q}]")
+
+
+def bag_colors(bag: PieceBag) -> np.ndarray:
+    """The bag's colors as an (N+1)x4 int64 array: row ``pid`` holds piece
+    ``pid``'s (right, up, left, down), and the last row, all 0, a blank
+    piece for the cells outside a window."""
+    flat = chain(chain.from_iterable(bag.pieces), (0, 0, 0, 0))
+    return np.fromiter(flat, np.int64, count=4 * len(bag.pieces) + 4).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -207,7 +221,7 @@ def disassemble(puzzle: Puzzle, seed: int) -> tuple[PieceBag, Assembly]:
     """
     n = puzzle.n
     order = positions_row_major(n)
-    pieces = pieces_row_major(puzzle)
+    pieces = pieces_at(puzzle, order)
     perm = generator(seed).permutation(n * n).tolist()
     bag = PieceBag(n, puzzle.q, tuple(pieces[ix] for ix in perm))
     return bag, Assembly({order[ix]: pid for pid, ix in enumerate(perm)})

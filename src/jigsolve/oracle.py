@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Assembly, PieceBag, Puzzle, pieces_row_major, positions_row_major
+from .grid import Assembly, PieceBag, Puzzle, bag_colors, pieces_row_major, positions_row_major
 from .windows import WindowAssembly
 
 #: Default cap on enumerated assemblies.
@@ -126,7 +126,7 @@ def brute_force_windows(bag: PieceBag, center: int, k: int = 1) -> list[WindowAs
     # blank column left of it; the blank piece's colors are 0, which the
     # comparisons let any color match
     blank = len(bag.pieces)
-    colors = np.array(bag.pieces + ((0, 0, 0, 0),))
+    colors = bag_colors(bag)
     side = 2 * k + 1
     width = side + 1
     cells = [r * width + c for r in range(1, width) for c in range(1, width)]

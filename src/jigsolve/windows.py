@@ -4,7 +4,10 @@ A window is a (2k+1)-by-(2k+1) block of distinct pieces whose internal
 edges all match. Colors are ranked densely, with 0 first, and the bag is
 indexed once, in one sorted array of keys ``up * s + left`` (s the number
 of ranks) in which color 0 means "unconstrained": every piece is filed
-under (up, left), (0, left), (up, 0) and (0, 0).
+under (up, left), (0, left), (up, 0) and (0, 0). The ids filed under one
+key form a run in increasing order. Each distinct key is kept once with
+its run, and a key above every query closes the list with an empty run,
+so a lookup is one binary search and one equality test.
 
 Cells are placed in growing L-shells from the top-left corner: shell s
 is its right column top-down, then its bottom row left to right. Every
@@ -13,12 +16,17 @@ shell past the corner all but two cells are pinned by two colors. All
 partial windows grow by one cell at a time, breadth first in numpy, each
 looking its candidates up by the down color above the cell and the right
 color left of it; a neighbor outside the window reads as a sentinel
-column of color 0. Parents keep their order and candidates come in
-increasing piece id, so the stream is lexicographic in cell order. The
-budget counts candidate rows, checked before each cell's are allocated.
-A cell with more candidate rows than ``_CHUNK_ROWS`` is expanded a run
-of parents at a time, which bounds its index temporaries and leaves the
-stream as it is.
+column of color 0. The first cell, the top row and the left column have
+one placed neighbor at most, so their key depends on one piece: their
+runs are gathered from two tables, built once per bag by the same lookup
+over every piece and the sentinel. Every other cell sorts its keys,
+searches them in increasing order and scatters the runs back, which is
+several times faster than searching them as they come. Parents keep
+their order and candidates come in increasing piece id, so the stream
+is lexicographic in cell order. The budget counts candidate rows,
+checked before each cell's are allocated. A cell with more candidate
+rows than ``_CHUNK_ROWS`` is expanded a run of parents at a time, which
+bounds its index temporaries and leaves the stream as it is.
 
 :func:`aggregate_candidates` folds the stream into :class:`Candidates`:
 per piece, the neighbors that all of its windows agree on, as one array.
@@ -34,7 +42,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .grid import PieceBag
+from .grid import PieceBag, bag_colors
 
 #: Default cap on candidate rows materialised by one enumeration.
 DEFAULT_BUDGET = 10**7
@@ -167,7 +175,7 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
     side = 2 * k + 1
 
     # colors ranked densely, the sentinel's 0 first, so a key fits int64 whatever q is
-    colors, ranks = np.unique(np.array(bag.pieces + ((0, 0, 0, 0),)), return_inverse=True)
+    colors, ranks = np.unique(bag_colors(bag), return_inverse=True)
     ranks = ranks.reshape(npieces + 1, 4)
     stride = len(colors)
     up, left = ranks[:npieces, UP] * stride, ranks[:npieces, LEFT]
@@ -175,7 +183,24 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
     order = np.argsort(keys, kind="stable")  # ids stay ascending within a key
     keys = keys[order]
     ids = (order // 4).astype(np.min_scalar_type(npieces))
+    # one run ids[run_lo[j]:run_lo[j] + run_cnt[j]] per distinct key run_key[j],
+    # then an empty run under a key above every query, which every miss reads
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    run_key = np.append(keys[first], stride * stride)
+    run_lo = np.append(first, len(keys))
+    run_cnt = np.diff(run_lo, append=len(keys))
+
+    def runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ranked = np.argsort(key)
+        at = np.empty_like(ranked)
+        at[ranked] = np.searchsorted(run_key, key[ranked])
+        at[run_key[at] != key] = len(run_key) - 1
+        return run_lo[at], run_cnt[at]
+
     below, beside = ranks[:, DOWN] * stride, ranks[:, RIGHT]
+    # the runs of the one-sided keys, by piece; the first cell reads the sentinel's
+    lo_beside, cnt_beside = runs(beside)
+    lo_below, cnt_below = runs(below)
 
     # cells as (column, row), row 0 on top, in L-shells from the top-left
     cells: list[tuple[int, int]] = []
@@ -194,9 +219,12 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
     rows = np.full((1, 1), npieces, dtype=ids.dtype)
     materialised = 0
     for a, b in zip(above_col, left_col):
-        key = below[rows[:, a]] + beside[rows[:, b]]
-        lo = np.searchsorted(keys, key, "left")
-        cnt = np.searchsorted(keys, key, "right") - lo
+        if a == 0:  # nothing above
+            lo, cnt = lo_beside[rows[:, b]], cnt_beside[rows[:, b]]
+        elif b == 0:  # nothing on the left
+            lo, cnt = lo_below[rows[:, a]], cnt_below[rows[:, a]]
+        else:
+            lo, cnt = runs(below[rows[:, a]] + beside[rows[:, b]])
         total = int(cnt.sum())
         materialised += total
         if materialised > budget:

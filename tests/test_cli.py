@@ -118,6 +118,14 @@ def test_bad_planted_file_exit_code(tmp_path, capsys, content, named):
     assert err.startswith("error:") and named in err
 
 
+def test_bag_with_q_past_int64_exit_code(tmp_path, capsys):
+    big = 2**63
+    bagfile = tmp_path / "bag.txt"
+    bagfile.write_text(f"3 {big + 1}\n" + "1 1 1 1\n" * 7 + f"{big} 1 1 1\n1 1 {big + 1} 1\n")
+    assert main(["candidates", "--in", str(bagfile), "--k", "1"]) == 2
+    assert capsys.readouterr().err == f"error: q must be at most 2**63 - 1; got q={big + 1}\n"
+
+
 @pytest.mark.parametrize(
     "command, limit",
     [("oracle", "-1"), ("oracle", "0"), ("variant-oracle", "0")],

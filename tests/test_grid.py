@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jigsolve import gen
 from jigsolve.gen import generate
 from jigsolve.grid import (
+    MAX_Q,
     Assembly,
     Direction,
     EdgeId,
     Piece,
     PieceBag,
     Puzzle,
+    bag_colors,
     disassemble,
     edge_in_direction,
     is_feasible,
@@ -196,6 +199,19 @@ def test_bag_validation():
             PieceBag(n, q, ())
     with pytest.raises(ValueError, match="bag file: n and q must be positive"):
         read_bag(io.StringIO("0 5\n"))
+
+
+def test_bag_rejects_q_past_int64():
+    # 2**63 and 2**63 + 1 would share one float64 in a color array
+    big = 2**63
+    pieces = (Piece(1, 1, 1, 1),) * 7 + (Piece(big, 1, 1, 1), Piece(1, 1, big + 1, 1))
+    with pytest.raises(ValueError, match=rf"q must be at most 2\*\*63 - 1; got q={big + 1}"):
+        PieceBag(3, big + 1, pieces)
+    assert MAX_Q == gen.MAX_Q == big - 1
+    top = (Piece(MAX_Q, 1, 1, 1), Piece(1, 1, MAX_Q - 1, 1))
+    colors = bag_colors(PieceBag(3, MAX_Q, (Piece(1, 1, 1, 1),) * 7 + top))
+    assert colors.dtype == np.int64
+    assert colors.tolist() == [[1, 1, 1, 1]] * 7 + [list(p) for p in top] + [[0, 0, 0, 0]]
 
 
 def test_puzzle_file_round_trip():

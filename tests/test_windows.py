@@ -2,13 +2,15 @@ import random
 import tracemalloc
 from collections import Counter
 from collections.abc import Mapping
+from itertools import count
 
 import pytest
 from hypothesis import assume, given, settings, strategies
 
 from jigsolve import windows
 from jigsolve.gen import generate
-from jigsolve.grid import disassemble
+from jigsolve.grid import Piece, PieceBag, disassemble
+from jigsolve.oracle import brute_force_windows
 from jigsolve.windows import (
     NO_WINDOW,
     BudgetExceededError,
@@ -97,6 +99,52 @@ def test_budget_bounds_memory():
     finally:
         tracemalloc.stop()
     assert peak < 100 * budget
+
+
+def test_budget_runs_out_at_a_two_sided_cell():
+    # A B  four classes of interchangeable pieces: 10 each of A, B and C, 200
+    # C D  of D. Candidate rows: cell 1 takes all 256 pieces; cell 2, with a left
+    # neighbor only, the A-B and C-D pairs; cell 3, with an upper neighbor only,
+    # a C under each A-B pair; cell 4, pinned by two colors, every D under each
+    # of those. Nothing fits right of a B or below a C, so the class rows end
+    # there. A separate 3x3 block adds 6, 4 and 4 rows to cells 2-4, 7 to the
+    # five cells after them, and gives the one window.
+    fresh = count(5)  # colors 1..4 link the classes; every other side is unique
+    a, b, c, d = 1, 2, 3, 4
+    pieces = [Piece(a, next(fresh), next(fresh), b) for _ in range(10)]
+    pieces += [Piece(next(fresh), next(fresh), a, c) for _ in range(10)]
+    pieces += [Piece(d, b, next(fresh), next(fresh)) for _ in range(10)]
+    pieces += [Piece(next(fresh), c, d, next(fresh)) for _ in range(200)]
+    right = [[next(fresh) for _ in range(3)] for _ in range(3)]  # [row][col]
+    down = [[next(fresh) for _ in range(3)] for _ in range(3)]
+    pieces += [
+        Piece(
+            right[r][col],
+            down[r - 1][col] if r else next(fresh),
+            right[r][col - 1] if col else next(fresh),
+            down[r][col],
+        )
+        for r in range(3)
+        for col in range(3)
+    ]
+    pieces += [Piece(*(next(fresh) for _ in range(4))) for _ in range(256 - len(pieces))]
+    bag = PieceBag(16, next(fresh), tuple(pieces))
+    through_one_sided = 256 + (10 * 10 + 10 * 200 + 6) + (10 * 10 * 10 + 4)
+    through_two_sided = through_one_sided + 10 * 10 * 10 * 200 + 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            next(enumerate_windows(bag, 1, through_one_sided))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * through_one_sided
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_windows(bag, 1, through_two_sided - 1))
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_windows(bag, 1, through_two_sided + 6))
+    block = WindowAssembly(1, tuple(range(230, 239)))
+    assert list(enumerate_windows(bag, 1, through_two_sided + 7)) == [block]
 
 
 def test_enumerate_validates_arguments():
@@ -248,3 +296,36 @@ def test_chunked_extension_keeps_the_stream(monkeypatch):
     assert list(enumerate_windows(bag, 1, budget=10**7)) == whole
     monkeypatch.setattr(windows, "_CHUNK_ROWS", 1)
     assert list(enumerate_windows(bag, 1, budget=10**7)) == whole
+
+
+def shell_order(k):
+    """Row-major indices of a window's cells in the enumerator's order: shell
+    s is its right column top-down, then its bottom row left to right."""
+    side = 2 * k + 1
+    order = []
+    for s in range(side):
+        order += [r * side + s for r in range(s)]
+        order += [s * side + c for c in range(s + 1)]
+    return order
+
+
+@given(
+    nq=strategies.integers(3, 6).flatmap(
+        lambda n: strategies.tuples(strategies.just(n), strategies.integers(1, n * n + n))
+    ),
+    k=strategies.sampled_from((1, 2)),
+    seed=strategies.integers(0, 10**9),
+)
+@settings(max_examples=50, deadline=None)
+def test_stream_is_brute_force_in_cell_order(nq, k, seed):
+    # every window once, lexicographic in the cell order; past q = n the
+    # queries mostly miss, between the distinct keys and above the last
+    n, q = nq
+    bag, _ = disassemble(generate(n, q, seed), seed)
+    try:
+        stream = list(enumerate_windows(bag, k, budget=10**5))
+    except BudgetExceededError:
+        assume(False)
+    order = shell_order(k)
+    brute = [wa for center in range(n * n) for wa in brute_force_windows(bag, center, k)]
+    assert stream == sorted(brute, key=lambda wa: [wa.cells[i] for i in order])
