@@ -88,6 +88,12 @@ def edge_in_direction(v: Coord, d: Direction) -> EdgeId:
     return EdgeId(orient, v[0] + di, v[1] + dj)
 
 
+def _check_q_fits(q: int) -> None:
+    # past int64, color arrays fall back to float64 and neighboring colors compare equal
+    if q > MAX_Q:
+        raise ValueError(f"q must be at most 2**63 - 1; got q={q}")
+
+
 class Piece(NamedTuple):
     """Four edge colors of one piece, keyed by direction."""
 
@@ -115,6 +121,7 @@ class Puzzle:
     def __post_init__(self) -> None:
         if self.n < 1 or self.q < 1:
             raise ValueError("n and q must be positive")
+        _check_q_fits(self.q)
         h = np.ascontiguousarray(self.hcolors, dtype=np.int64)
         v = np.ascontiguousarray(self.vcolors, dtype=np.int64)
         if h.shape != (self.n + 1, self.n) or v.shape != (self.n, self.n + 1):
@@ -158,8 +165,7 @@ class PieceBag:
     def __post_init__(self) -> None:
         if self.n < 1 or self.q < 1:
             raise ValueError("n and q must be positive")
-        if self.q > MAX_Q:
-            raise ValueError(f"q must be at most 2**63 - 1; got q={self.q}")
+        _check_q_fits(self.q)
         if len(self.pieces) != self.n * self.n:
             raise ValueError("a bag must hold exactly n^2 pieces")
         if min(chain.from_iterable(self.pieces)) < 1 or max(chain.from_iterable(self.pieces)) > self.q:
@@ -281,7 +287,10 @@ def read_puzzle(inp: TextIO) -> Puzzle:
     need = 2 + n * (n + 1) * 2
     if len(tokens) != need:
         raise ValueError(f"puzzle file: expected {need} tokens, got {len(tokens)}")
+    _check_q_fits(q)
     vals = [int(t) for t in tokens[2:]]
+    if min(vals) < 1 or max(vals) > q:  # before the int64 arrays, which would overflow
+        raise ValueError(f"colors must lie in [1..{q}]")
     hcolors = np.zeros((n + 1, n), dtype=np.int64)
     vcolors = np.zeros((n, n + 1), dtype=np.int64)
     pos = 0

@@ -16,17 +16,14 @@ shell past the corner all but two cells are pinned by two colors. All
 partial windows grow by one cell at a time, breadth first in numpy, each
 looking its candidates up by the down color above the cell and the right
 color left of it; a neighbor outside the window reads as a sentinel
-column of color 0. The first cell, the top row and the left column have
-one placed neighbor at most, so their key depends on one piece: their
-runs are gathered from two tables, built once per bag by the same lookup
-over every piece and the sentinel. Every other cell sorts its keys,
-searches them in increasing order and scatters the runs back, which is
-several times faster than searching them as they come. Parents keep
-their order and candidates come in increasing piece id, so the stream
-is lexicographic in cell order. The budget counts candidate rows,
-checked before each cell's are allocated. A cell with more candidate
-rows than ``_CHUNK_ROWS`` is expanded a run of parents at a time, which
-bounds its index temporaries and leaves the stream as it is.
+column of color 0. Each cell sorts its keys, searches them in increasing
+order and scatters the runs back, which is several times faster than
+searching them as they come. Parents keep their order and candidates
+come in increasing piece id, so the stream is lexicographic in cell
+order. The budget counts candidate rows, checked before each cell's are
+allocated. A cell with more candidate rows than ``_CHUNK_ROWS`` is
+expanded a run of parents at a time, which bounds its index temporaries
+and leaves the stream as it is.
 
 :func:`aggregate_candidates` folds the stream into :class:`Candidates`:
 per piece, the neighbors that all of its windows agree on, as one array.
@@ -198,9 +195,6 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
         return run_lo[at], run_cnt[at]
 
     below, beside = ranks[:, DOWN] * stride, ranks[:, RIGHT]
-    # the runs of the one-sided keys, by piece; the first cell reads the sentinel's
-    lo_beside, cnt_beside = runs(beside)
-    lo_below, cnt_below = runs(below)
 
     # cells as (column, row), row 0 on top, in L-shells from the top-left
     cells: list[tuple[int, int]] = []
@@ -219,12 +213,7 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
     rows = np.full((1, 1), npieces, dtype=ids.dtype)
     materialised = 0
     for a, b in zip(above_col, left_col):
-        if a == 0:  # nothing above
-            lo, cnt = lo_beside[rows[:, b]], cnt_beside[rows[:, b]]
-        elif b == 0:  # nothing on the left
-            lo, cnt = lo_below[rows[:, a]], cnt_below[rows[:, a]]
-        else:
-            lo, cnt = runs(below[rows[:, a]] + beside[rows[:, b]])
+        lo, cnt = runs(below[rows[:, a]] + beside[rows[:, b]])
         total = int(cnt.sum())
         materialised += total
         if materialised > budget:

@@ -126,6 +126,24 @@ def test_bag_with_q_past_int64_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: q must be at most 2**63 - 1; got q={big + 1}\n"
 
 
+@pytest.mark.parametrize("command", ["oracle", "typical"])
+@pytest.mark.parametrize(
+    "q, color, message",
+    [
+        (2**64, 2**64, "q must be at most 2**63 - 1; got q=18446744073709551616"),
+        (5, 2**64, "colors must lie in [1..5]"),
+    ],
+    ids=["q-past-int64", "color-past-int64"],
+)
+def test_puzzle_past_int64_exit_code(tmp_path, capsys, command, q, color, message):
+    # a 1x1 puzzle: one line of two horizontal colors, two lines of one vertical
+    puzfile = tmp_path / "p.txt"
+    puzfile.write_text(f"1 {q}\n{color} 1\n1\n1\n")
+    k = ["--k", "1"] if command == "typical" else []
+    assert main([command, "--in", str(puzfile), *k]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command, limit",
     [("oracle", "-1"), ("oracle", "0"), ("variant-oracle", "0")],

@@ -208,6 +208,9 @@ def test_bag_rejects_q_past_int64():
     with pytest.raises(ValueError, match=rf"q must be at most 2\*\*63 - 1; got q={big + 1}"):
         PieceBag(3, big + 1, pieces)
     assert MAX_Q == gen.MAX_Q == big - 1
+    ones = np.ones((4, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match=rf"q must be at most 2\*\*63 - 1; got q={big}"):
+        Puzzle(3, big, ones, ones.T)
     top = (Piece(MAX_Q, 1, 1, 1), Piece(1, 1, MAX_Q - 1, 1))
     colors = bag_colors(PieceBag(3, MAX_Q, (Piece(1, 1, 1, 1),) * 7 + top))
     assert colors.dtype == np.int64

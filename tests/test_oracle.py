@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, example, given, settings, strategies
 
 from jigsolve.gen import generate
 from jigsolve.grid import (
@@ -17,7 +18,7 @@ from jigsolve.oracle import (
     enumerate_feasible_assemblies,
     uniqueness_report,
 )
-from jigsolve.windows import enumerate_windows
+from jigsolve.windows import BudgetExceededError, enumerate_windows
 from helpers import all_distinct_puzzle, explicit_puzzle
 
 
@@ -160,22 +161,50 @@ def test_brute_windows_contain_planted_block():
     assert block in {wa.cells for wa in windows}
 
 
-def test_brute_windows_equal_fast_path():
-    # the (n=4, q=2) cell is huge and lives in the acceptance suite; k=2
-    # is the first radius whose cell order has shells past the corner's
-    for n, q, k in ((3, 2, 1), (3, 3, 1), (4, 3, 1), (4, 4, 1), (5, 8, 2), (6, 12, 2)):
-        for seed in range(3):
-            p = generate(n, q, seed=seed)
-            bag, _ = disassemble(p, seed + 1)
-            fast = sorted(wa.cells for wa in enumerate_windows(bag, k, budget=10**8))
-            brute = []
-            for center in range(n * n):
-                windows = brute_force_windows(bag, center, k)
-                assert all(wa.center == center for wa in windows)
-                cells = [wa.cells for wa in windows]
-                assert all(a < b for a, b in zip(cells, cells[1:]))  # strictly ascending
-                brute += cells
-            assert fast == sorted(brute)  # as multisets: no window twice
+def shell_order(k):
+    """Row-major indices of a window's cells in the enumerator's order: shell
+    s is its right column top-down, then its bottom row left to right."""
+    side = 2 * k + 1
+    order = []
+    for s in range(side):
+        order += [r * side + s for r in range(s)]
+        order += [s * side + c for c in range(s + 1)]
+    return order
+
+
+# the (n=4, q=2) cell is huge and lives in the acceptance suite; k=2 is the
+# first radius whose cell order has shells past the corner's
+@example(nq=(3, 2), k=1, seed=0)
+@example(nq=(4, 3), k=1, seed=1)
+@example(nq=(4, 4), k=1, seed=2)
+@example(nq=(5, 8), k=2, seed=0)
+@example(nq=(6, 12), k=2, seed=1)
+@given(
+    nq=strategies.integers(3, 6).flatmap(
+        lambda n: strategies.tuples(strategies.just(n), strategies.integers(1, n * n + n))
+    ),
+    k=strategies.sampled_from((1, 2)),
+    seed=strategies.integers(0, 10**9),
+)
+@settings(max_examples=50, deadline=None)
+def test_brute_windows_equal_fast_path(nq, k, seed):
+    # the fast stream is every window once, lexicographic in its cell order;
+    # past q = n its queries mostly miss, between the distinct keys and above the last
+    n, q = nq
+    bag, _ = disassemble(generate(n, q, seed=seed), seed + 1)
+    try:
+        fast = list(enumerate_windows(bag, k, budget=10**5))
+    except BudgetExceededError:
+        assume(False)
+    brute = []
+    for center in range(n * n):
+        windows = brute_force_windows(bag, center, k)
+        assert all(wa.center == center for wa in windows)
+        cells = [wa.cells for wa in windows]
+        assert all(a < b for a, b in zip(cells, cells[1:]))  # strictly ascending
+        brute += windows
+    order = shell_order(k)
+    assert fast == sorted(brute, key=lambda wa: [wa.cells[i] for i in order])
 
 
 def test_brute_windows_equal_fast_path_past_int64_keys():

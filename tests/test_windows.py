@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies
 from jigsolve import windows
 from jigsolve.gen import generate
 from jigsolve.grid import Piece, PieceBag, disassemble
-from jigsolve.oracle import brute_force_windows
 from jigsolve.windows import (
     NO_WINDOW,
     BudgetExceededError,
@@ -296,36 +295,3 @@ def test_chunked_extension_keeps_the_stream(monkeypatch):
     assert list(enumerate_windows(bag, 1, budget=10**7)) == whole
     monkeypatch.setattr(windows, "_CHUNK_ROWS", 1)
     assert list(enumerate_windows(bag, 1, budget=10**7)) == whole
-
-
-def shell_order(k):
-    """Row-major indices of a window's cells in the enumerator's order: shell
-    s is its right column top-down, then its bottom row left to right."""
-    side = 2 * k + 1
-    order = []
-    for s in range(side):
-        order += [r * side + s for r in range(s)]
-        order += [s * side + c for c in range(s + 1)]
-    return order
-
-
-@given(
-    nq=strategies.integers(3, 6).flatmap(
-        lambda n: strategies.tuples(strategies.just(n), strategies.integers(1, n * n + n))
-    ),
-    k=strategies.sampled_from((1, 2)),
-    seed=strategies.integers(0, 10**9),
-)
-@settings(max_examples=50, deadline=None)
-def test_stream_is_brute_force_in_cell_order(nq, k, seed):
-    # every window once, lexicographic in the cell order; past q = n the
-    # queries mostly miss, between the distinct keys and above the last
-    n, q = nq
-    bag, _ = disassemble(generate(n, q, seed), seed)
-    try:
-        stream = list(enumerate_windows(bag, k, budget=10**5))
-    except BudgetExceededError:
-        assume(False)
-    order = shell_order(k)
-    brute = [wa for center in range(n * n) for wa in brute_force_windows(bag, center, k)]
-    assert stream == sorted(brute, key=lambda wa: [wa.cells[i] for i in order])
