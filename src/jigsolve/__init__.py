@@ -4,7 +4,6 @@ from .grid import (
     Assembly,
     Direction,
     EdgeId,
-    Piece,
     PieceBag,
     Puzzle,
     disassemble,
@@ -17,7 +16,6 @@ __all__ = [
     "Assembly",
     "Direction",
     "EdgeId",
-    "Piece",
     "PieceBag",
     "Puzzle",
     "disassemble",

@@ -9,7 +9,6 @@ when a complete placement passes the independent feasibility check.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +27,19 @@ class ShellStuck(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialAssembly:
-    """A rigid component on the lattice, normalized to start at (0, 0)."""
+    """A rigid component on the lattice, normalized to start at (0, 0):
+    piece ``pid[c]`` sits at cell ``(x[c], y[c])``, in the order the
+    pieces were attached, root first."""
 
-    placement: dict[Coord, int]
+    pid: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.placement)
+        return len(self.pid)
 
 
 @dataclass(frozen=True)
@@ -68,43 +71,51 @@ def mutual_components(cands: Candidates) -> list[PartialAssembly]:
     back = stable[far, [2, 3, 0, 1]]  # back[p, d] = stable[stable[p, d], d ^ 2]
     linked = np.where((stable >= 0) & (back == np.arange(len(stable))[:, None]), stable, -1)
     links = linked.tolist()
-    lone = (linked < 0).all(axis=1).tolist()
+    # a cell (x, y) relative to the root is packed as x * width + y
+    width = 2 * len(links) + 1
+    steps = [x * width + y for x, y in STEPS]
 
     seen = bytearray(len(links))
-    components: list[PartialAssembly] = []
-    for root in range(len(links)):
+    joined: list[tuple[list[int], list[int]]] = []
+    for root in np.flatnonzero((linked >= 0).any(axis=1)).tolist():
         if seen[root]:
             continue
         seen[root] = 1
-        if lone[root]:
-            components.append(PartialAssembly({(0, 0): root}))
-            continue
-        cells: dict[Coord, int] = {(0, 0): root}
-        queue = deque([(root, 0, 0)])
-        while queue:
-            pid, x, y = queue.popleft()
-            for (dx, dy), other in zip(STEPS, links[pid]):
-                if other < 0 or seen[other]:
-                    continue
-                pos = (x + dx, y + dy)
-                if pos in cells:
-                    continue
-                cells[pos] = other
-                seen[other] = 1
-                queue.append((other, *pos))
-        minx = min(x for x, _ in cells)
-        miny = min(y for _, y in cells)
-        components.append(PartialAssembly({(x - minx, y - miny): pid for (x, y), pid in cells.items()}))
+        pids, cells = [root], [0]
+        taken = {0}
+        for pid, cell in zip(pids, cells):  # the lists are the queue: zip sees what is appended
+            for step, other in zip(steps, links[pid]):
+                if other >= 0 and not seen[other]:
+                    at = cell + step
+                    if at not in taken:
+                        taken.add(at)
+                        seen[other] = 1
+                        pids.append(other)
+                        cells.append(at)
+        if len(pids) > 1:
+            joined.append((pids, cells))
+        else:  # every piece linked to root was attached before
+            seen[root] = 0
 
-    components.sort(key=lambda c: (-c.size, min(c.placement.values())))
-    return components
+    joined.sort(key=lambda c: (-len(c[0]), c[0][0]))
+    comps = []
+    for pids, cells in joined:
+        packed = np.array(cells)
+        x = (packed + width // 2) // width  # |y| <= width // 2, so this rounds to x
+        y = packed - x * width
+        comps.append(PartialAssembly(np.array(pids), x - x.min(), y - y.min()))
+    alone = np.flatnonzero(np.frombuffer(seen, dtype=np.uint8) == 0)
+    origin = np.zeros(1, dtype=np.int64)
+    return comps + [PartialAssembly(alone[c : c + 1], origin, origin) for c in range(len(alone))]
 
 
 def core_guesses(comp: PartialAssembly, n: int, k: int) -> list[Coord]:
     """Anchors of the core-sized squares covering the most component cells.
 
-    An anchor is a square's bottom-left cell; anchors run x-major, then y.
-    A fully occupied square wins whenever one exists. Otherwise the
+    An anchor is a square's bottom-left cell; anchors run x-major, then y,
+    over every square that stays within the component's columns and rows
+    (just the square at (0, 0) along an axis narrower than the core). A
+    fully occupied square wins whenever one exists. Otherwise the
     component carries holes where window evidence was ambiguous; the
     missing core pieces are recovered later by the shell rules (a hole
     specifies up to four free edges).
@@ -112,58 +123,41 @@ def core_guesses(comp: PartialAssembly, n: int, k: int) -> list[Coord]:
     m = n - 2 * k
     if m < 1:
         raise ValueError("core size must be positive")
-    cells = set(comp.placement)
-    maxx = max(x for x, _ in cells)
-    maxy = max(y for _, y in cells)
-    best = 0
-    anchors: list[Coord] = []
-    for ax in range(0, max(maxx - m + 2, 1)):
-        for ay in range(0, max(maxy - m + 2, 1)):
-            cover = sum(
-                1 for dx in range(m) for dy in range(m) if (ax + dx, ay + dy) in cells
-            )
-            if cover > best:
-                best = cover
-                anchors = [(ax, ay)]
-            elif cover == best:
-                anchors.append((ax, ay))
-    return anchors
+    width = max(int(comp.x.max()) + 1, m)
+    height = max(int(comp.y.max()) + 1, m)
+    # total[a, b] counts the cells with x < a and y < b
+    total = np.zeros((width + 1, height + 1), dtype=np.int64)
+    total[comp.x + 1, comp.y + 1] = 1
+    total = total.cumsum(axis=0).cumsum(axis=1)
+    cover = total[m:, m:] - total[:-m, m:] - total[m:, :-m] + total[:-m, :-m]
+    ax, ay = np.nonzero(cover == cover.max())
+    return list(zip(ax.tolist(), ay.tolist()))
 
 
 _SIDES = ("bottom", "right", "top", "left")
 
 
-def _ring(cell: Coord, n: int, k: int) -> tuple[int, int, int]:
-    """Shell, side index into ``_SIDES`` and position along the side.
+def _ring(i: np.ndarray, j: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shell, side index into ``_SIDES`` and position along the side of
+    each position ``(i[c], j[c])``.
 
     Shell k is the board's boundary ring and shell 1 the ring around the
     core; core cells get shell 0 or less, lower further in. A corner
     belongs to the first side containing it. Sorting cells by this key
     scans innermost rings first.
     """
-    i, j = cell
-    d = min(i - 1, j - 1, n - i, n - j)
-    lo, hi = d + 1, n - d
-    if j == lo:
-        return k - d, 0, i
-    if i == hi:
-        return k - d, 1, j
-    if j == hi:
-        return k - d, 2, i
-    return k - d, 3, j
+    d = np.minimum(np.minimum(i - 1, j - 1), np.minimum(n - i, n - j))
+    side = np.select([j == d + 1, i == n - d, j == n - d], [0, 1, 2], 3)
+    return k - d, side, np.where(side % 2 == 0, i, j)
 
 
-def assemble_shells(
-    bag: PieceBag,
-    core: dict[Coord, int],
-    remaining: list[int],
-    n: int,
-    k: int,
-) -> Assembly:
-    """Grow the periphery outward from a placed core, shell by shell.
+def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
+    """Grow the periphery outward from a core placed on an (n, n) grid.
 
-    Two greedy rules alternate to a fixed point, innermost open cells
-    first (so shells emerge in order):
+    ``partial`` holds piece ids like :attr:`Assembly.grid`, with -1 for
+    every open cell; the placed ids must be distinct and lie in the
+    central square. Two greedy rules alternate to a fixed point,
+    innermost open cells first (so shells emerge in order):
 
     * fill: an open cell adjacent to at least two placed pieces takes the
       unique remaining piece matching all its specified free edges; cells
@@ -178,66 +172,92 @@ def assemble_shells(
     Raises :class:`ShellStuck` when neither rule applies and open cells
     remain.
     """
-    pieces = bag.pieces
-    placement = dict(core)
-    square = {(i, j) for i in range(k + 1, n - k + 1) for j in range(k + 1, n - k + 1)}
-    if not core or not set(core) <= square:
+    n = bag.n
+    partial = np.asarray(partial)
+    if partial.shape != (n, n):
+        raise ValueError(f"the partial grid must be {n} x {n}")
+    held = partial >= 0
+    square = np.zeros((n, n), dtype=bool)
+    square[k : n - k, k : n - k] = True
+    if not held.any() or (held & ~square).any():
         raise ValueError("core must sit inside the central square")
-    if len(remaining) + len(core) != n * n or set(remaining) & set(core.values()):
-        raise ValueError("remaining pieces must be exactly the unplaced ids")
-    pool = _Pool(pieces, bag.q, remaining)
+    placed = partial[held]
+    if (partial < -1).any() or placed.max() >= n * n or np.bincount(placed).max() > 1:
+        raise ValueError(f"placed pieces must be distinct ids in [0..{n * n - 1}]")
 
-    def stuck(cell: Coord, reason: str) -> ShellStuck:
-        shell, side, _ = _ring(cell, n, k)
+    colors = bag.colors.tolist()
+    unplaced = np.ones(n * n, dtype=bool)
+    unplaced[placed] = False
+    pool = _Pool(colors, bag.q, np.flatnonzero(unplaced).tolist())
+    # the board inside a border of open cells, flat: place[j * (n + 2) + i]
+    # holds position (i, j), and known[...] counts its placed neighbors
+    width = n + 2
+    offsets = [di + dj * width for di, dj in STEPS]
+    place = np.full((width, width), -1, dtype=np.int64)
+    place[1:-1, 1:-1] = partial
+    filled = (place >= 0).astype(np.int64)
+    known = np.zeros_like(place)
+    known[1:-1, 1:-1] = filled[1:-1, 2:] + filled[2:, 1:-1] + filled[1:-1, :-2] + filled[:-2, 1:-1]
+    known = known.ravel().tolist()
+    place = place.ravel().tolist()
+
+    js, is_ = np.nonzero(~held)
+    shell, side, along = _ring(is_ + 1, js + 1, n, k)
+    order = np.lexsort((along, side, shell))
+    open_cells = ((js[order] + 1) * width + is_[order] + 1).tolist()
+    ring_of = dict(zip(open_cells, zip(shell[order].tolist(), side[order].tolist())))
+
+    def stuck(at: int, reason: str) -> ShellStuck:
+        shell, side = ring_of[at]
         return ShellStuck(max(shell, 0), _SIDES[side], reason)
 
-    open_cells = sorted(
-        ((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if (i, j) not in placement),
-        key=lambda cell: _ring(cell, n, k),
-    )
+    def put(at: int, pid: int) -> None:
+        place[at] = pid
+        pool.take(pid)
+        for off in offsets:
+            known[at + off] += 1
 
     while open_cells:
         progress = False
-        still_open: list[Coord] = []
-        for cell in open_cells:
-            wanted = _free_edges(pieces, placement, cell)
-            if len(wanted) < 2:
-                still_open.append(cell)  # fewer than two free edges specified
+        still_open: list[int] = []
+        for at in open_cells:
+            if known[at] < 2:
+                still_open.append(at)  # fewer than two free edges specified
                 continue
-            matches = pool.matches(wanted)
+            matches = pool.matches(_free_edges(colors, place, at, offsets))
             if len(matches) == 0:
-                raise stuck(cell, "no matching piece")
+                raise stuck(at, "no matching piece")
             if len(matches) > 1:
-                still_open.append(cell)
+                still_open.append(at)
                 continue
-            placement[cell] = matches[0]
-            pool.take(matches[0])
+            put(at, matches[0])
             progress = True
         open_cells = still_open
         if progress or not open_cells:
             continue
 
-        seeded = _seed_any(pieces, placement, pool, open_cells)
+        seeded = _seed_any(colors, place, offsets, pool, open_cells)
         if seeded is None:
             raise stuck(open_cells[0], "no unique fill or seed")
-        open_cells.remove(seeded)
+        put(*seeded)
+        open_cells.remove(seeded[0])
 
     assert not any(pool.free), "every piece must be placed"
-    return Assembly(placement)
+    return Assembly(np.reshape(place, (width, width))[1:-1, 1:-1])
 
 
-def _free_edges(pieces: tuple, placement: dict[Coord, int], cell: Coord) -> list[tuple[int, int]]:
-    """``(side, color)`` for each placed neighbor of ``cell``.
+def _free_edges(colors: list, place: list[int], at: int, offsets: list[int]) -> list[tuple[int, int]]:
+    """``(side, color)`` for each placed neighbor of the cell ``place[at]``,
+    whose neighbor across side ``d`` is ``place[at + offsets[d]]``.
 
-    A piece placed in ``cell`` must carry ``color`` on ``side``: the
+    A piece placed in the cell must carry ``color`` on ``side``: the
     neighbor across side ``d`` shows it on its side ``d ^ 2``.
     """
-    x, y = cell
     out = []
-    for d, (dx, dy) in enumerate(STEPS):
-        pid = placement.get((x + dx, y + dy))
-        if pid is not None:
-            out.append((d, pieces[pid][d ^ 2]))
+    for d, off in enumerate(offsets):
+        pid = place[at + off]
+        if pid >= 0:
+            out.append((d, colors[pid][d ^ 2]))
     return out
 
 
@@ -250,31 +270,32 @@ class _Pool:
     color over the unplaced pieces.
     """
 
-    def __init__(self, pieces: tuple, q: int, ids: list[int]):
-        self.pieces = pieces
+    def __init__(self, colors: list, q: int, ids: list[int]):
+        """``colors[pid]`` lists the four colors of piece ``pid``; ``ids``, ascending, are the pool's."""
+        self.colors = colors
         self.stride = q + 1
-        self.free = bytearray(len(pieces))
+        self.free = bytearray(len(colors))
         self.by_side: dict[int, list[int]] = {}
         self.jigs: dict[int, int] = {}
-        for pid in sorted(ids):
+        for pid in ids:
             self.free[pid] = 1
-            for d, c in enumerate(pieces[pid]):
+            for d, c in enumerate(colors[pid]):
                 self.by_side.setdefault(d * self.stride + c, []).append(pid)
                 self.jigs[c] = self.jigs.get(c, 0) + 1
 
     def take(self, pid: int) -> None:
         self.free[pid] = 0
-        for c in self.pieces[pid]:
+        for c in self.colors[pid]:
             self.jigs[c] -= 1
 
     def matches(self, wanted: list[tuple[int, int]]) -> list[int]:
         """Unplaced ids, ascending, carrying every ``(side, color)`` of ``wanted``."""
         d0, c0 = wanted[0]
-        pieces, free = self.pieces, self.free
+        colors, free = self.colors, self.free
         return [
             pid
             for pid in self.by_side.get(d0 * self.stride + c0, ())
-            if free[pid] and all(pieces[pid][d] == c for d, c in wanted)
+            if free[pid] and all(colors[pid][d] == c for d, c in wanted)
         ]
 
     def lone_holder(self, color: int) -> int | None:
@@ -289,26 +310,25 @@ class _Pool:
 
 
 def _seed_any(
-    pieces: tuple,
-    placement: dict[Coord, int],
+    colors: list,
+    place: list[int],
+    offsets: list[int],
     pool: _Pool,
-    open_cells: list[Coord],
-) -> Coord | None:
-    """Seed one open cell from a free edge with a unique color.
+    open_cells: list[int],
+) -> tuple[int, int] | None:
+    """An open cell and the piece to seed it with, from a free edge with a unique color.
 
     Scans open cells in order, and each cell's free edges in side order.
     A color counted exactly once over all jigs of the remaining pieces
-    identifies one piece; it is placed if it matches every free edge of
+    identifies one piece; it is chosen if it matches every free edge of
     the cell (so in particular the lone occurrence faces the edge).
     """
-    for cell in open_cells:
-        wanted = _free_edges(pieces, placement, cell)
+    for at in open_cells:
+        wanted = _free_edges(colors, place, at, offsets)
         for _, color in wanted:
             pid = pool.lone_holder(color)
-            if pid is not None and all(pieces[pid][d] == c for d, c in wanted):
-                placement[cell] = pid
-                pool.take(pid)
-                return cell
+            if pid is not None and all(colors[pid][d] == c for d, c in wanted):
+                return at, pid
     return None
 
 
@@ -332,7 +352,7 @@ def solve(
     (from :func:`jigsolve.windows.candidate_neighborhoods`) may be
     supplied to avoid re-enumerating windows.
     """
-    if len(bag.pieces) != n * n:
+    if len(bag.colors) != n * n:
         raise ValueError("bag size must be n^2")
     if k < 1 or 2 * k >= n:
         raise ValueError("need 1 <= k < n/2")
@@ -342,6 +362,8 @@ def solve(
             candidates = candidate_neighborhoods(bag, k, budget)
         except BudgetExceededError:
             return SolveOutcome(None, "budget_exceeded")
+    if len(candidates.windows) != n * n:
+        raise ValueError(f"candidates cover {len(candidates.windows)} pieces; the bag holds {n * n}")
 
     # A piece with several candidate neighborhoods fails step 1 as stated.
     # Recovery still joins on direction claims that are constant across
@@ -354,17 +376,14 @@ def solve(
     guesses = core_guesses(largest, n, k)
 
     m = n - 2 * k
-    all_pids = set(range(n * n))
+    pid, x, y = largest.pid, largest.x, largest.y
     for tried, (ax, ay) in enumerate(guesses, start=1):
-        core = {}
-        for dx in range(m):
-            for dy in range(m):
-                pid = largest.placement.get((ax + dx, ay + dy))
-                if pid is not None:
-                    core[(k + 1 + dx, k + 1 + dy)] = pid
-        remaining = sorted(all_pids - set(core.values()))
+        # the square's cells of the component, moved onto the board's central square
+        inside = (x >= ax) & (x < ax + m) & (y >= ay) & (y < ay + m)
+        partial = np.full((n, n), -1, dtype=np.int64)
+        partial[y[inside] + (k - ay), x[inside] + (k - ax)] = pid[inside]
         try:
-            assembly = assemble_shells(bag, core, remaining, n, k)
+            assembly = assemble_shells(bag, partial, k)
         except ShellStuck:
             continue
         if is_feasible(bag, assembly):
@@ -372,7 +391,7 @@ def solve(
     # every guess covers equally many cells, so the last core tells
     if multiples:
         reason = "multiple_candidates"
-    elif len(core) == m * m:
+    elif inside.sum() == m * m:
         reason = "all_guesses_stuck"
     else:
         reason = "no_core_square"

@@ -36,7 +36,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             print(f"wrote bag to {args.bag_out}")
         if args.planted_out:
             with open(args.planted_out, "w") as fh:
-                grid.write_assembly(planted, args.n, fh)
+                grid.write_assembly(planted, fh)
             print(f"wrote planted assembly to {args.planted_out}")
     return 0
 
@@ -48,7 +48,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.planted:
         with open(args.planted) as fh:
             planted = grid.read_assembly(fh)
-        if len(planted.placement) != bag.n * bag.n:
+        if planted.grid.shape != (bag.n, bag.n):
             raise ValueError(f"planted file: expected an assembly for n={bag.n}")
     outcome = assemble.solve(bag, bag.n, args.k, args.budget)
     if not outcome.solved:
@@ -56,7 +56,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 1
     print(f"solved after {outcome.guesses_tried} core guess(es)")
     if planted is not None:
-        match = outcome.assembly.placement == planted.placement
+        match = (outcome.assembly.grid == planted.grid).all()
         print(f"planted match: {'yes' if match else 'no'}")
         if not match:
             return 1

@@ -12,6 +12,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
+import numpy as np
+
 from .assemble import solve
 from .gen import MAX_Q, generate
 from .grid import disassemble
@@ -64,7 +66,7 @@ def run_trial(n: int, q: int, k: int, seed: int, budget: int = DEFAULT_BUDGET) -
     multi = 0
     windows_explored = 0
     try:
-        statuses = aggregate_candidates(len(bag.pieces), enumerate_windows(bag, k, budget))
+        statuses = aggregate_candidates(len(bag.colors), enumerate_windows(bag, k, budget))
     except BudgetExceededError:
         statuses = None
     if statuses is not None:
@@ -76,7 +78,7 @@ def run_trial(n: int, q: int, k: int, seed: int, budget: int = DEFAULT_BUDGET) -
         outcome = solve(bag, n, k, budget, candidates=statuses)
         if outcome.solved:
             solved = True
-            planted_match = outcome.assembly.placement == planted.placement
+            planted_match = np.array_equal(outcome.assembly.grid, planted.grid)
 
     runtime_ms = int((time.perf_counter() - t0) * 1000)
     return TrialRecord(

@@ -29,10 +29,12 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain
-from typing import Iterable, NamedTuple, TextIO
+from functools import cached_property
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -94,15 +96,6 @@ def _check_q_fits(q: int) -> None:
         raise ValueError(f"q must be at most 2**63 - 1; got q={q}")
 
 
-class Piece(NamedTuple):
-    """Four edge colors of one piece, keyed by direction."""
-
-    right: int
-    up: int
-    left: int
-    down: int
-
-
 @dataclass(frozen=True, eq=False)
 class Puzzle:
     """An n-by-n board with a color on every edge, boundary included.
@@ -154,37 +147,58 @@ class Puzzle:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PieceBag:
-    """The disassembled pieces, in presentation order; ids are positions."""
+    """The disassembled pieces, in presentation order.
+
+    ``colors`` is a read-only (n^2, 4) int64 array: row ``pid`` holds
+    piece ``pid``'s (right, up, left, down).
+    """
 
     n: int
     q: int
-    pieces: tuple[Piece, ...]
+    colors: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.q < 1:
             raise ValueError("n and q must be positive")
         _check_q_fits(self.q)
-        if len(self.pieces) != self.n * self.n:
-            raise ValueError("a bag must hold exactly n^2 pieces")
-        if min(chain.from_iterable(self.pieces)) < 1 or max(chain.from_iterable(self.pieces)) > self.q:
+        colors = np.ascontiguousarray(self.colors, dtype=np.int64)
+        if colors.shape != (self.n * self.n, 4):
+            raise ValueError("a bag must hold exactly n^2 pieces of four colors")
+        if colors.min() < 1 or colors.max() > self.q:
             raise ValueError(f"piece colors must lie in [1..{self.q}]")
+        colors.flags.writeable = False
+        object.__setattr__(self, "colors", colors)
 
 
-def bag_colors(bag: PieceBag) -> np.ndarray:
-    """The bag's colors as an (N+1)x4 int64 array: row ``pid`` holds piece
-    ``pid``'s (right, up, left, down), and the last row, all 0, a blank
-    piece for the cells outside a window."""
-    flat = chain(chain.from_iterable(bag.pieces), (0, 0, 0, 0))
-    return np.fromiter(flat, np.int64, count=4 * len(bag.pieces) + 4).reshape(-1, 4)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assembly:
-    """A placement of piece ids on the board: position -> piece id."""
+    """A placement of piece ids on the board, as a read-only (n, n) int64
+    grid: ``grid[j - 1, i - 1]`` holds the id at position ``(i, j)``, so
+    the grid reads row by row from the bottom. It may also be given as a
+    mapping from every position to its id.
+    """
 
-    placement: dict[Coord, int]
+    grid: np.ndarray
+
+    def __post_init__(self) -> None:
+        grid = self.grid
+        if isinstance(grid, Mapping):
+            n = math.isqrt(len(grid))
+            if set(grid) != set(positions_row_major(n)):
+                raise ValueError("placement must cover every position of a square board")
+            grid = [[grid[(i, j)] for i in range(1, n + 1)] for j in range(1, n + 1)]
+        grid = np.ascontiguousarray(grid, dtype=np.int64)
+        if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
+            raise ValueError("an assembly grid must be square")
+        grid.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
+
+    @cached_property
+    def placement(self) -> dict[Coord, int]:
+        """Position -> piece id, built on first access."""
+        return {(i, j): pid for j, row in enumerate(self.grid.tolist(), 1) for i, pid in enumerate(row, 1)}
 
 
 def positions_row_major(n: int) -> list[Coord]:
@@ -192,45 +206,36 @@ def positions_row_major(n: int) -> list[Coord]:
     return [(i, j) for j in range(1, n + 1) for i in range(1, n + 1)]
 
 
-def piece_at(puzzle: Puzzle, v: Coord) -> Piece:
-    """The four colors incident to position ``v``, boundary included."""
+def piece_at(puzzle: Puzzle, v: Coord) -> tuple[int, int, int, int]:
+    """The (right, up, left, down) colors incident to position ``v``, boundary included."""
     i, j = v
     n = puzzle.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"position {v} out of range for n={n}")
     h, w = puzzle.hcolors, puzzle.vcolors
-    return Piece(
-        right=int(h[i, j - 1]),
-        up=int(w[i - 1, j]),
-        left=int(h[i - 1, j - 1]),
-        down=int(w[i - 1, j - 1]),
-    )
+    return (int(h[i, j - 1]), int(w[i - 1, j]), int(h[i - 1, j - 1]), int(w[i - 1, j - 1]))
 
 
-def pieces_at(puzzle: Puzzle, positions: Iterable[Coord]) -> list[Piece]:
-    """``piece_at`` for each of ``positions`` (unchecked), from one read of the color arrays."""
-    h, w = puzzle.hcolors.tolist(), puzzle.vcolors.tolist()
-    return [Piece(h[i][j - 1], w[i - 1][j], h[i - 1][j - 1], w[i - 1][j - 1]) for i, j in positions]
-
-
-def pieces_row_major(puzzle: Puzzle) -> list[Piece]:
-    """``piece_at`` for every position, in :func:`positions_row_major` order."""
-    return pieces_at(puzzle, positions_row_major(puzzle.n))
+def piece_colors(puzzle: Puzzle) -> np.ndarray:
+    """:func:`piece_at` for every position, in :func:`positions_row_major`
+    order, as an (n^2, 4) int64 array."""
+    h, w = puzzle.hcolors, puzzle.vcolors
+    by_column = np.stack([h[1:], w[:, 1:], h[:-1], w[:, :-1]], axis=-1)  # [i - 1, j - 1]
+    return by_column.transpose(1, 0, 2).reshape(-1, 4)
 
 
 def disassemble(puzzle: Puzzle, seed: int) -> tuple[PieceBag, Assembly]:
     """Shuffle the pieces into a bag; return it with the planted placement.
 
     The bag order is a uniformly seeded permutation of the pieces taken in
-    canonical position order. ``planted`` maps each position to the piece
-    id now holding its piece.
+    canonical position order. ``planted`` holds at each position the
+    piece id now holding its piece.
     """
     n = puzzle.n
-    order = positions_row_major(n)
-    pieces = pieces_at(puzzle, order)
-    perm = generator(seed).permutation(n * n).tolist()
-    bag = PieceBag(n, puzzle.q, tuple(pieces[ix] for ix in perm))
-    return bag, Assembly({order[ix]: pid for pid, ix in enumerate(perm)})
+    perm = generator(seed).permutation(n * n)
+    where = np.empty(n * n, dtype=np.int64)
+    where[perm] = np.arange(n * n)
+    return PieceBag(n, puzzle.q, piece_colors(puzzle)[perm]), Assembly(where.reshape(n, n))
 
 
 def is_feasible(bag: PieceBag, assembly: Assembly) -> bool:
@@ -240,26 +245,17 @@ def is_feasible(bag: PieceBag, assembly: Assembly) -> bool:
     a bijection from all positions onto all piece ids.
     """
     n = bag.n
-    placement = assembly.placement
-    if len(placement) != n * n:
+    grid = assembly.grid
+    if grid.shape != (n, n):
         raise ValueError("placement must cover every position")
-    seen = set()
-    for v, pid in placement.items():
-        i, j = v
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"position {v} out of range for n={n}")
-        if not (0 <= pid < n * n) or pid in seen:
-            raise ValueError("placement must be a bijection onto piece ids")
-        seen.add(pid)
-    pieces = bag.pieces
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            p = pieces[placement[(i, j)]]
-            if i < n and p.right != pieces[placement[(i + 1, j)]].left:
-                return False
-            if j < n and p.up != pieces[placement[(i, j + 1)]].down:
-                return False
-    return True
+    if grid.min() < 0 or grid.max() >= n * n or np.bincount(grid.ravel(), minlength=n * n).max() > 1:
+        raise ValueError("placement must be a bijection onto piece ids")
+    colors = bag.colors[grid]  # [j - 1, i - 1, side]
+    RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
+    return bool(
+        np.array_equal(colors[:, :-1, RIGHT], colors[:, 1:, LEFT])
+        and np.array_equal(colors[:-1, :, UP], colors[1:, :, DOWN])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +287,17 @@ def read_puzzle(inp: TextIO) -> Puzzle:
     vals = [int(t) for t in tokens[2:]]
     if min(vals) < 1 or max(vals) > q:  # before the int64 arrays, which would overflow
         raise ValueError(f"colors must lie in [1..{q}]")
-    hcolors = np.zeros((n + 1, n), dtype=np.int64)
-    vcolors = np.zeros((n, n + 1), dtype=np.int64)
-    pos = 0
-    for j in range(1, n + 1):
-        for i in range(n + 1):
-            hcolors[i, j - 1] = vals[pos]
-            pos += 1
-    for j in range(n + 1):
-        for i in range(1, n + 1):
-            vcolors[i - 1, j] = vals[pos]
-            pos += 1
+    flat = np.array(vals, dtype=np.int64)
+    # rows j of entries i, so each block is the transpose of its color array
+    hcolors = flat[: n * (n + 1)].reshape(n, n + 1).T
+    vcolors = flat[n * (n + 1) :].reshape(n + 1, n).T
     return Puzzle(n, q, hcolors, vcolors)
 
 
 def write_bag(bag: PieceBag, out: TextIO) -> None:
     out.write(f"{bag.n} {bag.q}\n")
-    for p in bag.pieces:
-        out.write(f"{p.right} {p.up} {p.left} {p.down}\n")
+    for right, up, left, down in bag.colors.tolist():
+        out.write(f"{right} {up} {left} {down}\n")
 
 
 def read_bag(inp: TextIO) -> PieceBag:
@@ -321,18 +310,17 @@ def read_bag(inp: TextIO) -> PieceBag:
     need = 2 + 4 * n * n
     if len(tokens) != need:
         raise ValueError(f"bag file: expected {need} tokens, got {len(tokens)}")
+    _check_q_fits(q)
     vals = [int(t) for t in tokens[2:]]
-    pieces = tuple(
-        Piece(vals[4 * b], vals[4 * b + 1], vals[4 * b + 2], vals[4 * b + 3])
-        for b in range(n * n)
-    )
-    return PieceBag(n, q, pieces)
+    if min(vals) < 1 or max(vals) > q:  # before the int64 array, which would overflow
+        raise ValueError(f"piece colors must lie in [1..{q}]")
+    return PieceBag(n, q, np.array(vals, dtype=np.int64).reshape(-1, 4))
 
 
-def write_assembly(assembly: Assembly, n: int, out: TextIO) -> None:
-    out.write(f"{n}\n")
-    for j in range(1, n + 1):
-        out.write(" ".join(str(assembly.placement[(i, j)]) for i in range(1, n + 1)))
+def write_assembly(assembly: Assembly, out: TextIO) -> None:
+    out.write(f"{len(assembly.grid)}\n")
+    for row in assembly.grid.tolist():
+        out.write(" ".join(map(str, row)))
         out.write("\n")
 
 
@@ -345,12 +333,7 @@ def read_assembly(inp: TextIO) -> Assembly:
         raise ValueError("assembly file: n must be positive")
     if len(tokens) != 1 + n * n:
         raise ValueError("assembly file: wrong token count")
-    if sorted(int(t) for t in tokens[1:]) != list(range(n * n)):
+    ids = [int(t) for t in tokens[1:]]
+    if sorted(ids) != list(range(n * n)):
         raise ValueError(f"assembly file: piece ids must be 0..{n * n - 1}, each once")
-    placement: dict[Coord, int] = {}
-    pos = 1
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            placement[(i, j)] = int(tokens[pos])
-            pos += 1
-    return Assembly(placement)
+    return Assembly(np.array(ids, dtype=np.int64).reshape(n, n))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Assembly, PieceBag, Puzzle, bag_colors, pieces_row_major, positions_row_major
+from .grid import Assembly, PieceBag, Puzzle, piece_colors
 from .windows import WindowAssembly
 
 #: Default cap on enumerated assemblies.
@@ -45,30 +45,29 @@ def enumerate_feasible_assemblies(bag: PieceBag, limit: int = DEFAULT_LIMIT) -> 
     """
     if limit < 1:
         raise ValueError("limit must be positive")
+    RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
     n = bag.n
-    pieces = bag.pieces
+    colors = bag.colors.tolist()
     num = n * n
-    order = positions_row_major(n)
     results: list[Assembly] = []
     chosen = [0] * num
     used = [False] * num
 
     def search(idx: int) -> None:
         if idx == num:
-            results.append(Assembly({order[p]: chosen[p] for p in range(num)}))
+            results.append(Assembly(np.reshape(chosen, (n, n))))
             if len(results) > limit:
                 raise LimitExceededError(limit)
             return
-        i, _ = order[idx]
-        left = pieces[chosen[idx - 1]].right if i > 1 else None
-        below = pieces[chosen[idx - n]].up if idx >= n else None
+        left = colors[chosen[idx - 1]][RIGHT] if idx % n else None
+        below = colors[chosen[idx - n]][UP] if idx >= n else None
         for pid in range(num):
             if used[pid]:
                 continue
-            piece = pieces[pid]
-            if left is not None and piece.left != left:
+            piece = colors[pid]
+            if left is not None and piece[LEFT] != left:
                 continue
-            if below is not None and piece.down != below:
+            if below is not None and piece[DOWN] != below:
                 continue
             used[pid] = True
             chosen[idx] = pid
@@ -86,24 +85,17 @@ def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessR
     index), so the planted assembly is the identity placement.
     """
     n = puzzle.n
-    order = positions_row_major(n)
-    slot = {v: ix for ix, v in enumerate(order)}
-    bag = PieceBag(n, puzzle.q, tuple(pieces_row_major(puzzle)))
+    bag = PieceBag(n, puzzle.q, piece_colors(puzzle))
     assemblies = enumerate_feasible_assemblies(bag, limit)
-
-    unique_edge = True
-    for a in assemblies:
-        for j in range(1, n + 1):
-            for i in range(1, n):
-                if bag.pieces[a.placement[(i, j)]].right != bag.pieces[slot[(i, j)]].right:
-                    unique_edge = False
-        for j in range(1, n):
-            for i in range(1, n + 1):
-                if bag.pieces[a.placement[(i, j)]].up != bag.pieces[slot[(i, j)]].up:
-                    unique_edge = False
-        if not unique_edge:
-            break
-
+    # colors by position, [j - 1, i - 1, side]; an internal edge shows as the
+    # right side of a piece not in the last column or the up side of one not in the top row
+    RIGHT, UP = 0, 1
+    planted = bag.colors.reshape(n, n, 4)
+    unique_edge = all(
+        np.array_equal(placed[:, :-1, RIGHT], planted[:, :-1, RIGHT])
+        and np.array_equal(placed[:-1, :, UP], planted[:-1, :, UP])
+        for placed in (bag.colors[a.grid] for a in assemblies)
+    )
     return UniquenessReport(
         num_feasible=len(assemblies),
         unique_vertex=len(assemblies) == 1,
@@ -125,8 +117,8 @@ def brute_force_windows(bag: PieceBag, center: int, k: int = 1) -> list[WindowAs
     # each partial window lies in a frame with a blank row above it and a
     # blank column left of it; the blank piece's colors are 0, which the
     # comparisons let any color match
-    blank = len(bag.pieces)
-    colors = bag_colors(bag)
+    blank = len(bag.colors)
+    colors = np.concatenate((bag.colors, np.zeros((1, 4), dtype=np.int64)))
     side = 2 * k + 1
     width = side + 1
     cells = [r * width + c for r in range(1, width) for c in range(1, width)]

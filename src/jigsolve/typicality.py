@@ -18,18 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import (
-    Assembly,
-    Coord,
-    DIRECTIONS,
-    EdgeId,
-    PieceBag,
-    Puzzle,
-    edge_in_direction,
-    pieces_at,
-    pieces_row_major,
-    positions_row_major,
-)
+from .grid import Assembly, Coord, EdgeId, PieceBag, Puzzle, edge_in_direction, piece_colors
 from .windows import DEFAULT_BUDGET, Candidates, candidate_neighborhoods
 
 #: Default constant for the color-pair property.
@@ -78,9 +67,8 @@ def check_typical(
     n = puzzle.n
     if 2 * k >= n:
         raise ValueError("need k < n/2")
-    order = positions_row_major(n)
-    bag = PieceBag(n, puzzle.q, tuple(pieces_row_major(puzzle)))
-    planted = Assembly({v: ix for ix, v in enumerate(order)})
+    bag = PieceBag(n, puzzle.q, piece_colors(puzzle))
+    planted = Assembly(np.arange(n * n).reshape(n, n))
     statuses = candidate_neighborhoods(bag, k, budget)
     return report_from_candidates(puzzle, planted, statuses, k, c_prime)
 
@@ -99,32 +87,35 @@ def report_from_candidates(
     solve.
     """
     n = puzzle.n
-    placement = planted.placement
-    core_range = range(k + 1, n - k + 1)
+    grid = planted.grid
+    sides = piece_colors(puzzle)  # row-major
     # the ring outside the core, row-major, and the pieces planted on it
-    rim = [*range(1, k + 1), *range(n - k + 1, n + 1)]
-    peripheral = [(i, j) for j in range(1, n + 1) for i in (rim if j in core_range else range(1, n + 1))]
-    ring = [placement[v] for v in peripheral]
+    on_ring = np.ones((n, n), dtype=bool)
+    on_ring[k : n - k, k : n - k] = False
+    ys, xs = np.nonzero(on_ring)
+    peripheral = list(zip((xs + 1).tolist(), (ys + 1).tolist()))
+    ring = grid[on_ring]
 
     core_unique, core_witness = True, None
     off = ~statuses.unique
     off[ring] = False  # core pieces without a unique neighborhood
     if off.any():
-        bad = set(np.flatnonzero(off).tolist())
-        v = min((v for v, pid in placement.items() if pid in bad), key=lambda v: (v[1], v[0]))
-        core_unique, core_witness = False, (v, "multiple" if statuses.multiple[placement[v]] else "none")
+        ix = int(np.flatnonzero(off[grid])[0])  # the first such position, row-major
+        pid = int(grid.flat[ix])
+        v = (ix % n + 1, ix // n + 1)
+        core_unique, core_witness = False, (v, "multiple" if statuses.multiple[pid] else "none")
 
     peripheral_consistent, peripheral_witness = True, None
     for ix in np.flatnonzero(statuses.windows[ring]).tolist():
-        v, pid = peripheral[ix], ring[ix]
+        v, pid = peripheral[ix], int(ring[ix])
         if statuses.multiple[pid]:
             peripheral_consistent, peripheral_witness = False, (v, "multiple")
             break
-        if tuple(statuses.stable[pid].tolist()) != _planted_neighborhood(placement, v, n):
+        if tuple(statuses.stable[pid].tolist()) != _planted_neighborhood(grid, v):
             peripheral_consistent, peripheral_witness = False, (v, "not planted")
             break
 
-    ring_pieces = pieces_at(puzzle, peripheral)
+    ring_pieces = sides[on_ring.ravel()].tolist()
 
     # repeated colors among edges touching the periphery
     edge_colors: dict[EdgeId, int] = {}
@@ -162,7 +153,7 @@ def report_from_candidates(
     # every color pair must be on at most c_prime * k pieces (all pieces);
     # an integer count exceeds the threshold exactly when it exceeds its floor
     limit = math.floor(c_prime * k)
-    pairs, pair_counts = _pair_counts(puzzle)
+    pairs, pair_counts = _pair_counts(sides)
     over = np.flatnonzero(pair_counts > limit)
     color_pair_witness = None
     if over.size:
@@ -186,17 +177,15 @@ def report_from_candidates(
     )
 
 
-def _planted_neighborhood(
-    placement: dict[Coord, int], v: Coord, n: int
-) -> tuple[int, int, int, int] | None:
+def _planted_neighborhood(grid: np.ndarray, v: Coord) -> tuple[int, int, int, int] | None:
     """Planted neighbor ids of v in direction order, None if v borders."""
-    out = []
-    for d in DIRECTIONS:
-        nb = (v[0] + d.step[0], v[1] + d.step[1])
-        if not (1 <= nb[0] <= n and 1 <= nb[1] <= n):
-            return None
-        out.append(placement[nb])
-    return tuple(out)  # type: ignore[return-value]
+    n = len(grid)
+    i, j = v
+    if not (1 < i < n and 1 < j < n):
+        return None
+    # grid[j - 1, i - 1] holds position (i, j); neighbors right, up, left, down
+    rows, cols = [j - 1, j, j - 1, j - 2], [i, i - 1, i - 2, i - 1]
+    return tuple(grid[rows, cols].tolist())  # type: ignore[return-value]
 
 
 def _color_pairs(piece) -> list[tuple[int, int]]:
@@ -209,15 +198,14 @@ def _color_pairs(piece) -> list[tuple[int, int]]:
     return out
 
 
-def _pair_counts(puzzle: Puzzle) -> tuple[np.ndarray, np.ndarray]:
-    """Every jig color pair with the number of pieces holding it.
+def _pair_counts(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every jig color pair of the pieces ``sides`` (one row of four
+    colors each) with the number of pieces holding it.
 
     Returns ``(pairs, counts)``: ``pairs`` has one sorted ``(a, b)`` row
     per distinct pair, ascending, and ``counts[i]`` counts the pieces
     with ``pairs[i]`` among the six pairs of their four colors.
     """
-    h, w = puzzle.hcolors, puzzle.vcolors
-    sides = np.stack([h[1:], w[:, 1:], h[:-1], w[:, :-1]], axis=-1).reshape(-1, 4)
     # colors ranked densely, so a pair key fits int64 whatever q is
     colors, ranks = np.unique(sides, return_inverse=True)
     ranks = np.sort(ranks.reshape(-1, 4), axis=1)

@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .grid import PieceBag, bag_colors
+from .grid import PieceBag
 
 #: Default cap on candidate rows materialised by one enumeration.
 DEFAULT_BUDGET = 10**7
@@ -168,11 +168,13 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
         raise ValueError("budget must be positive")
 
     RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
-    npieces = len(bag.pieces)
+    npieces = len(bag.colors)
     side = 2 * k + 1
 
-    # colors ranked densely, the sentinel's 0 first, so a key fits int64 whatever q is
-    colors, ranks = np.unique(bag_colors(bag), return_inverse=True)
+    # colors ranked densely, with a sentinel piece of color 0 appended as id
+    # npieces; 0 ranks first, and a key fits int64 whatever q is
+    sentinel = np.zeros((1, 4), dtype=np.int64)
+    colors, ranks = np.unique(np.concatenate((bag.colors, sentinel)), return_inverse=True)
     ranks = ranks.reshape(npieces + 1, 4)
     stride = len(colors)
     up, left = ranks[:npieces, UP] * stride, ranks[:npieces, LEFT]
@@ -270,4 +272,4 @@ def aggregate_candidates(num_pieces: int, windows: Iterator[WindowAssembly]) -> 
 
 def candidate_neighborhoods(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Candidates:
     """Candidate status of every piece, from the full window stream."""
-    return aggregate_candidates(len(bag.pieces), enumerate_windows(bag, k, budget))
+    return aggregate_candidates(len(bag.colors), enumerate_windows(bag, k, budget))

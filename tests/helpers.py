@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 
+from jigsolve.assemble import PartialAssembly
 from jigsolve.constraints import WindowMap
 from jigsolve.grid import Puzzle
 from jigsolve.windows import Candidates
@@ -56,3 +57,14 @@ def claimed_candidates(num_pieces: int, claims: dict) -> Candidates:
         stable[pid] = neighbors
         windows[pid] = 1
     return Candidates(stable, windows)
+
+
+def component(cells: dict) -> PartialAssembly:
+    """A component holding piece ``cells[(x, y)]`` at each cell ``(x, y)``."""
+    (xs, ys), pids = zip(*cells.keys()), list(cells.values())
+    return PartialAssembly(np.array(pids), np.array(xs), np.array(ys))
+
+
+def component_cells(comp: PartialAssembly) -> dict:
+    """A component's cells as a mapping ``(x, y) -> piece id``."""
+    return dict(zip(zip(comp.x.tolist(), comp.y.tolist()), comp.pid.tolist()))

@@ -5,6 +5,7 @@ The heavy window-equivalence criterion parallelizes over seeds as the
 oracle's concurrency note allows; on a single-core host it runs serially.
 """
 
+import hashlib
 import math
 import multiprocessing
 import random
@@ -189,6 +190,11 @@ CRITERION6_CONFIG = SweepConfig(
     ns=(30,), k=1, trials=200, master_seed=0x20260808, alphas=(1.6,)
 )
 
+#: SHA-256 of the criterion-6 CSV without its runtime column: every line cut
+#: at its last comma, header included, joined by newlines. A change of this
+#: value means a change of the solver's or the checker's results.
+CRITERION6_FIRST_NINE_SHA256 = "d844375a90cef708f41506721dbaf1204f7b2958e20f667d299ea9425817e568"
+
 
 @pytest.fixture(scope="module")
 def criterion6_csv(tmp_path_factory):
@@ -252,7 +258,7 @@ def test_c08_duplicates_break_vertex_uniqueness():
         bag, planted = disassemble(puzzle, seed)
         by_value = {}
         dup = None
-        for pid, piece in enumerate(bag.pieces):
+        for pid, piece in enumerate(map(tuple, bag.colors.tolist())):
             if piece in by_value:
                 dup = (by_value[piece], pid)
                 break
@@ -310,4 +316,5 @@ def test_c10_sweep_determinism(criterion6_csv, tmp_path):
     first = strip_runtime(path.read_text())
     second = strip_runtime(rerun.read_text())
     assert first == second
+    assert hashlib.sha256("\n".join(first).encode()).hexdigest() == CRITERION6_FIRST_NINE_SHA256
     print(f"ACCEPTANCE 10 sweep reproducibility ({len(first) - 1} rows): PASS")

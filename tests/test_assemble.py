@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jigsolve.assemble import (
-    PartialAssembly,
     ShellStuck,
     assemble_shells,
     core_guesses,
@@ -13,7 +15,7 @@ from jigsolve.assemble import (
 from jigsolve.gen import generate
 from jigsolve.grid import disassemble, is_feasible, positions_row_major
 from jigsolve.oracle import LimitExceededError, enumerate_feasible_assemblies
-from helpers import claimed_candidates
+from helpers import claimed_candidates, component, component_cells
 
 
 def test_join_all_none_gives_singletons():
@@ -28,7 +30,7 @@ def test_join_mutual_pair():
     cands = claimed_candidates(10, {0: (1, 7, 8, 9), 1: (6, 5, 0, 4)})
     comps = mutual_components(cands)
     assert comps[0].size == 2
-    assert comps[0].placement == {(0, 0): 0, (1, 0): 1}
+    assert component_cells(comps[0]) == {(0, 0): 0, (1, 0): 1}
 
 
 def test_join_one_directional_claim_ignored():
@@ -54,7 +56,7 @@ def test_join_offset_conflict():
     # the join drops the colliding link
     comps = mutual_components(cands)
     assert comps[0].size == 4
-    assert set(comps[0].placement.values()) == {0, 1, 2, 3}
+    assert set(comps[0].pid.tolist()) == {0, 1, 2, 3}
     assert {c.size for c in comps[1:]} == {1}
 
 
@@ -95,14 +97,41 @@ def test_solve_best_cover_core_with_hole(hole):
 
 
 def test_core_guess_counts():
-    square = PartialAssembly({(x, y): x * 4 + y for x in range(4) for y in range(4)})
+    square = component({(x, y): x * 4 + y for x in range(4) for y in range(4)})
     assert core_guesses(square, 6, 1) == [(0, 0)]
-    rect = PartialAssembly({(x, y): x * 4 + y for x in range(5) for y in range(4)})
+    rect = component({(x, y): x * 4 + y for x in range(5) for y in range(4)})
     assert core_guesses(rect, 6, 1) == [(0, 0), (1, 0)]
     assert core_guesses(square, 6, 2) != []  # 2x2 squares inside a 4x4 block
     missing = {(x, y): x * 4 + y for x in range(4) for y in range(4)}
     del missing[(1, 1)]
-    assert core_guesses(PartialAssembly(missing), 6, 1) == [(0, 0)]  # covers 15 of 16
+    assert core_guesses(component(missing), 6, 1) == [(0, 0)]  # covers 15 of 16
+
+
+@given(
+    cells=st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=60),
+    n=st.integers(3, 12),
+    k=st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_core_guesses_match_direct_count(cells, n, k):
+    # prefix-sum cover against counting each anchor's square cell by cell,
+    # on cell sets with holes and on components narrower than the core
+    m = n - 2 * k
+    if m < 1:
+        with pytest.raises(ValueError):
+            core_guesses(component({c: ix for ix, c in enumerate(sorted(cells))}), n, k)
+        return
+    comp = component({c: ix for ix, c in enumerate(sorted(cells))})
+    maxx = max(x for x, _ in cells)
+    maxy = max(y for _, y in cells)
+    covers = {
+        (ax, ay): sum((ax + dx, ay + dy) in cells for dx in range(m) for dy in range(m))
+        for ax in range(max(maxx - m + 2, 1))
+        for ay in range(max(maxy - m + 2, 1))
+    }
+    best = max(covers.values())
+    expected = sorted(anchor for anchor, cover in covers.items() if cover == best)  # x-major, then y
+    assert core_guesses(comp, n, k) == expected
 
 
 def test_core_guess_count_bound():
@@ -122,7 +151,7 @@ def test_assemble_shells_k0_returns_core():
     n = 3
     p = generate(n, 9, seed=1)
     bag, planted = disassemble(p, 5)
-    out = assemble_shells(bag, dict(planted.placement), [], n, 0)
+    out = assemble_shells(bag, planted.grid, 0)
     assert out.placement == planted.placement
 
 
@@ -130,12 +159,9 @@ def test_assemble_shells_correct_core_recovers():
     n, k = 6, 1
     p = generate(n, 10**6, seed=7)
     bag, planted = disassemble(p, 3)
-    core = {
-        (i, j): planted.placement[(i, j)]
-        for i in range(2, n) for j in range(2, n)
-    }
-    remaining = sorted(set(range(n * n)) - set(core.values()))
-    out = assemble_shells(bag, core, remaining, n, k)
+    partial = np.full((n, n), -1)
+    partial[k : n - k, k : n - k] = planted.grid[k : n - k, k : n - k]
+    out = assemble_shells(bag, partial, k)
     assert out.placement == planted.placement
 
 
@@ -144,24 +170,46 @@ def test_assemble_shells_wrong_core_sticks():
     p = generate(n, 10**6, seed=8)
     bag, planted = disassemble(p, 4)
     # translate the core by one: a wrong guess
-    core = {
-        (i, j): planted.placement[(i + 1, j)]
-        for i in range(2, n) for j in range(2, n)
-    }
-    remaining = sorted(set(range(n * n)) - set(core.values()))
+    partial = np.full((n, n), -1)
+    partial[k : n - k, k : n - k] = planted.grid[k : n - k, k + 1 : n - k + 1]
     with pytest.raises(ShellStuck):
-        assemble_shells(bag, core, remaining, n, k)
+        assemble_shells(bag, partial, k)
+
+
+def test_core_holes_fill_before_the_ring():
+    # the two core holes have three placed neighbors each, so the fill rule
+    # takes them first and the guess gets stuck on the ring around the core
+    bag, _ = disassemble(generate(5, 10, seed=0), 1)
+    partial = np.full((5, 5), -1)
+    partial[1:4, 1:4] = [[23, 2, -1], [9, 12, 22], [7, -1, 21]]
+    with pytest.raises(ShellStuck) as stuck:
+        assemble_shells(bag, partial, 1)
+    assert (stuck.value.shell, stuck.value.side) == (1, "bottom")
 
 
 def test_assemble_shells_validates_inputs():
     n = 4
     p = generate(n, 16, seed=0)
     bag, planted = disassemble(p, 0)
-    with pytest.raises(ValueError):
-        assemble_shells(bag, {(1, 1): 0}, list(range(1, 16)), n, 1)  # off the core
-    core = {(i, j): planted.placement[(i, j)] for i in (2, 3) for j in (2, 3)}
-    with pytest.raises(ValueError):
-        assemble_shells(bag, core, list(range(16)), n, 1)  # wrong remaining
+    off_core = np.full((n, n), -1)
+    off_core[0, 0] = 0
+    with pytest.raises(ValueError, match="central square"):
+        assemble_shells(bag, off_core, 1)
+    with pytest.raises(ValueError, match="central square"):
+        assemble_shells(bag, np.full((n, n), -1), 1)  # no core at all
+    core = np.full((n, n), -1)
+    core[1:3, 1:3] = planted.grid[1:3, 1:3]
+    duplicated = core.copy()
+    duplicated[1, 1] = duplicated[2, 2]
+    out_of_range = core.copy()
+    out_of_range[1, 1] = n * n
+    below_hole = core.copy()
+    below_hole[0, 0] = -2
+    for bad in (duplicated, out_of_range, below_hole):
+        with pytest.raises(ValueError, match="distinct ids"):
+            assemble_shells(bag, bad, 1)
+    with pytest.raises(ValueError, match="4 x 4"):
+        assemble_shells(bag, core[:3, :3], 1)
 
 
 def test_solve_rejects_bad_arguments():
@@ -173,6 +221,15 @@ def test_solve_rejects_bad_arguments():
         solve(bag, 4, 2)
     with pytest.raises(ValueError):
         solve(bag, 5, 1)
+
+
+def test_solve_rejects_candidates_of_another_bag():
+    from jigsolve.windows import candidate_neighborhoods
+
+    small, _ = disassemble(generate(6, 500, seed=1), 2)
+    big, _ = disassemble(generate(8, 500, seed=1), 2)
+    with pytest.raises(ValueError, match="candidates cover 64 pieces; the bag holds 36"):
+        solve(small, 6, 1, candidates=candidate_neighborhoods(big, 1))
 
 
 def test_solve_recovers_easy_puzzles():
@@ -250,9 +307,10 @@ def test_component_offsets_match_planted_translation():
     comps = mutual_components(candidate_neighborhoods(bag, 1))
     largest = comps[0]
     where = {pid: v for v, pid in planted.placement.items()}
-    anchor_cell = min(largest.placement)
-    anchor_pos = where[largest.placement[anchor_cell]]
-    for cell, pid in largest.placement.items():
+    cells = component_cells(largest)
+    anchor_cell = min(cells)
+    anchor_pos = where[cells[anchor_cell]]
+    for cell, pid in cells.items():
         expected = (
             anchor_pos[0] + (cell[0] - anchor_cell[0]),
             anchor_pos[1] + (cell[1] - anchor_cell[1]),
@@ -270,17 +328,19 @@ def test_property_iv_style_unique_fills():
     p = generate(n, 10**6, seed=12)
     assert check_typical(p, 1, c_prime=Fraction(1)).typical
     bag, planted = disassemble(p, 40)
-    placement = {
-        (i, j): planted.placement[(i, j)] for i in range(2, n) for j in range(2, n)
-    }
-    for seed_cell in ((4, 1), (n, 4), (4, n), (1, 4)):  # one seed per side
-        placement[seed_cell] = planted.placement[seed_cell]
-    pool = _Pool(bag.pieces, bag.q, sorted(set(range(n * n)) - set(placement.values())))
-    open_cells = [v for v in planted.placement if v not in placement]
+    # place[j][i] holds position (i, j), inside a border of open cells
+    place = np.full((n + 2, n + 2), -1)
+    place[2:n, 2:n] = planted.grid[1 : n - 1, 1 : n - 1]
+    for i, j in ((4, 1), (n, 4), (4, n), (1, 4)):  # one seed per side
+        place[j, i] = planted.placement[(i, j)]
+    pool = _Pool(bag.colors.tolist(), bag.q, sorted(set(range(n * n)) - set(place.ravel().tolist())))
+    place = place.ravel().tolist()  # place[j * (n + 2) + i]
+    offsets = [1, n + 2, -1, -(n + 2)]  # right, up, left, down
+    open_cells = [(i, j) for i, j in planted.placement if place[j * (n + 2) + i] < 0]
     while open_cells:
         placed = None
         for cell in open_cells:
-            wanted = _free_edges(bag.pieces, placement, cell)
+            wanted = _free_edges(bag.colors.tolist(), place, cell[1] * (n + 2) + cell[0], offsets)
             if len(wanted) < 2:
                 continue
             matches = pool.matches(wanted)
@@ -291,7 +351,7 @@ def test_property_iv_style_unique_fills():
         if placed is None:
             break
         cell, pid = placed
-        placement[cell] = pid
+        place[cell[1] * (n + 2) + cell[0]] = pid
         pool.take(pid)
         open_cells.remove(cell)
         assert pid == planted.placement[cell]

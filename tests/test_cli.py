@@ -126,6 +126,15 @@ def test_bag_with_q_past_int64_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: q must be at most 2**63 - 1; got q={big + 1}\n"
 
 
+@pytest.mark.parametrize("command", ["candidates", "solve"])
+def test_bag_with_color_past_int64_exit_code(tmp_path, capsys, command):
+    # q fits int64 but a color does not: rejected before the int64 array is built
+    bagfile = tmp_path / "bag.txt"
+    bagfile.write_text("2 5\n" + "1 1 1 1\n" * 3 + f"1 {2**64} 1 1\n")
+    assert main([command, "--in", str(bagfile), "--k", "1"]) == 2
+    assert capsys.readouterr().err == "error: piece colors must lie in [1..5]\n"
+
+
 @pytest.mark.parametrize("command", ["oracle", "typical"])
 @pytest.mark.parametrize(
     "q, color, message",

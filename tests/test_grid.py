@@ -12,10 +12,8 @@ from jigsolve.grid import (
     Assembly,
     Direction,
     EdgeId,
-    Piece,
     PieceBag,
     Puzzle,
-    bag_colors,
     disassemble,
     edge_in_direction,
     is_feasible,
@@ -62,16 +60,16 @@ def test_edge_ranges_boundary():
 def test_piece_at_monochromatic():
     p = monochromatic(4)
     for v in positions_row_major(4):
-        assert piece_at(p, v) == Piece(1, 1, 1, 1)
+        assert piece_at(p, v) == (1, 1, 1, 1)
 
 
 def test_piece_at_reads_incident_entries():
     p = all_distinct_puzzle(2)
-    got = piece_at(p, (1, 1))
-    assert got.right == p.edge_color(EdgeId("h", 1, 1))
-    assert got.left == p.edge_color(EdgeId("h", 0, 1))
-    assert got.up == p.edge_color(EdgeId("v", 1, 1))
-    assert got.down == p.edge_color(EdgeId("v", 1, 0))
+    right, up, left, down = piece_at(p, (1, 1))
+    assert right == p.edge_color(EdgeId("h", 1, 1))
+    assert left == p.edge_color(EdgeId("h", 0, 1))
+    assert up == p.edge_color(EdgeId("v", 1, 1))
+    assert down == p.edge_color(EdgeId("v", 1, 0))
 
 
 def test_piece_at_out_of_range():
@@ -86,37 +84,42 @@ def test_opposite_direction_color_sharing():
     p = generate(5, 7, seed=11)
     for i in range(1, 5):
         for j in range(1, 6):
-            assert piece_at(p, (i, j)).right == piece_at(p, (i + 1, j)).left
+            assert piece_at(p, (i, j))[Direction.RIGHT] == piece_at(p, (i + 1, j))[Direction.LEFT]
     for i in range(1, 6):
         for j in range(1, 5):
-            assert piece_at(p, (i, j)).up == piece_at(p, (i, j + 1)).down
+            assert piece_at(p, (i, j))[Direction.UP] == piece_at(p, (i, j + 1))[Direction.DOWN]
 
 
 def test_disassemble_counts_and_determinism():
     p = generate(3, 4, seed=5)
     bag1, planted1 = disassemble(p, 99)
     bag2, planted2 = disassemble(p, 99)
-    assert len(bag1.pieces) == 9
-    assert bag1 == bag2
-    assert planted1.placement == planted2.placement
+    assert bag1.colors.shape == (9, 4)
+    assert np.array_equal(bag1.colors, bag2.colors)
+    assert np.array_equal(planted1.grid, planted2.grid)
     bag3, _ = disassemble(p, 100)
-    assert bag3 != bag1  # overwhelmingly likely for a different seed
+    assert not np.array_equal(bag3.colors, bag1.colors)  # overwhelmingly likely for a different seed
 
 
 def test_disassemble_multiset_invariant():
     p = generate(4, 3, seed=2)
     bag, _ = disassemble(p, 17)
     original = sorted(piece_at(p, v) for v in positions_row_major(4))
-    assert sorted(bag.pieces) == original
+    assert sorted(map(tuple, bag.colors.tolist())) == original
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_disassemble_round_trip(seed):
-    p = generate(3, 5, seed=seed)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), q=st.sampled_from([1, 2, 5, 10**6, MAX_Q]))
+@settings(max_examples=60, deadline=None)
+def test_disassemble_round_trip(seed, n, q):
+    # the array disassembly against the one-position reader, at every position
+    p = generate(n, q, seed=seed)
     bag, planted = disassemble(p, seed)
-    for v in positions_row_major(3):
-        assert bag.pieces[planted.placement[v]] == piece_at(p, v)
+    assert planted.grid.shape == (n, n)
+    assert sorted(planted.grid.ravel().tolist()) == list(range(n * n))
+    for i, j in positions_row_major(n):
+        pid = planted.grid[j - 1, i - 1]
+        assert planted.placement[(i, j)] == pid
+        assert tuple(bag.colors[pid].tolist()) == piece_at(p, (i, j))
 
 
 def test_disassemble_pieces_match_piece_at():
@@ -127,7 +130,7 @@ def test_disassemble_pieces_match_piece_at():
                 bag, planted = disassemble(p, seed + 10)
                 assert sorted(planted.placement.values()) == list(range(n * n))
                 for v, pid in planted.placement.items():
-                    assert bag.pieces[pid] == piece_at(p, v)
+                    assert tuple(bag.colors[pid].tolist()) == piece_at(p, v)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
@@ -155,9 +158,9 @@ def test_adjacent_swap_with_distinct_colors_infeasible():
     swapped = dict(planted.placement)
     swapped[(1, 1)], swapped[(2, 1)] = swapped[(2, 1)], swapped[(1, 1)]
     a = Assembly(swapped)
-    left_piece = bag.pieces[a.placement[(1, 1)]]
-    right_piece = bag.pieces[a.placement[(2, 1)]]
-    assert left_piece.right != right_piece.left
+    left_piece = bag.colors[a.placement[(1, 1)]]
+    right_piece = bag.colors[a.placement[(2, 1)]]
+    assert left_piece[Direction.RIGHT] != right_piece[Direction.LEFT]
     assert not is_feasible(bag, a)
 
 
@@ -170,6 +173,55 @@ def test_is_feasible_rejects_non_bijection():
         is_feasible(bag, Assembly(broken))
     with pytest.raises(ValueError):
         is_feasible(bag, Assembly({(1, 1): 0}))
+    with pytest.raises(ValueError):
+        Assembly({(1, 1): 0, (2, 1): 1})  # not every position of a square board
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), q=st.integers(1, 3), swaps=st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_is_feasible_matches_cell_by_cell_check(seed, n, q, swaps):
+    # shifted-slice feasibility against comparing each internal edge in turn
+    p = generate(n, q, seed=seed)
+    bag, planted = disassemble(p, seed)
+    grid = planted.grid.ravel().copy()
+    rng = np.random.default_rng(seed)
+    for _ in range(swaps):
+        a, b = rng.integers(n * n, size=2)
+        grid[a], grid[b] = grid[b], grid[a]
+    assembly = Assembly(grid.reshape(n, n))
+    place, colors = assembly.placement, bag.colors.tolist()
+    expected = all(
+        colors[place[(i, j)]][Direction.RIGHT] == colors[place[(i + 1, j)]][Direction.LEFT]
+        for i in range(1, n)
+        for j in range(1, n + 1)
+    ) and all(
+        colors[place[(i, j)]][Direction.UP] == colors[place[(i, j + 1)]][Direction.DOWN]
+        for i in range(1, n + 1)
+        for j in range(1, n)
+    )
+    assert is_feasible(bag, assembly) == expected
+
+
+def test_is_feasible_on_grids():
+    p = generate(5, 10**6, seed=3)
+    bag, planted = disassemble(p, 4)
+    assert is_feasible(bag, Assembly(planted.grid))
+    grid = planted.grid.copy()
+    a, b = grid[2, 1], grid[3, 4]
+    assert not np.array_equal(bag.colors[a], bag.colors[b])
+    grid[2, 1], grid[3, 4] = b, a
+    assert not is_feasible(bag, Assembly(grid))
+    duplicated = planted.grid.copy()
+    duplicated[0, 0] = duplicated[4, 4]
+    out_of_range = planted.grid.copy()
+    out_of_range[1, 2] = 25
+    negative = planted.grid.copy()
+    negative[1, 2] = -1
+    for bad in (duplicated, out_of_range, negative, planted.grid[:4, :4], np.zeros((6, 6), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            is_feasible(bag, Assembly(bad))
+    with pytest.raises(ValueError, match="square"):
+        Assembly(planted.grid[:4])
 
 
 def test_puzzle_validation():
@@ -191,12 +243,20 @@ def test_puzzle_arrays_frozen():
 
 def test_bag_validation():
     with pytest.raises(ValueError):
-        PieceBag(2, 1, (Piece(1, 1, 1, 1),) * 3)
+        PieceBag(2, 1, [(1, 1, 1, 1)] * 3)
     with pytest.raises(ValueError):
-        PieceBag(1, 1, (Piece(1, 2, 1, 1),))
+        PieceBag(1, 1, [(1, 1, 1)])
+    with pytest.raises(ValueError):
+        PieceBag(1, 1, [(1, 2, 1, 1)])
+    with pytest.raises(ValueError):
+        PieceBag(1, 2, [(1, 2, 0, 1)])
     for n, q in ((0, 5), (0, 0)):  # n^2 pieces, but an empty board
         with pytest.raises(ValueError, match="n and q must be positive"):
-            PieceBag(n, q, ())
+            PieceBag(n, q, np.zeros((0, 4)))
+    bag = PieceBag(1, 2, [(1, 2, 1, 1)])
+    assert bag.colors.dtype == np.int64
+    with pytest.raises(ValueError):
+        bag.colors[0, 0] = 2  # read-only
     with pytest.raises(ValueError, match="bag file: n and q must be positive"):
         read_bag(io.StringIO("0 5\n"))
 
@@ -204,17 +264,16 @@ def test_bag_validation():
 def test_bag_rejects_q_past_int64():
     # 2**63 and 2**63 + 1 would share one float64 in a color array
     big = 2**63
-    pieces = (Piece(1, 1, 1, 1),) * 7 + (Piece(big, 1, 1, 1), Piece(1, 1, big + 1, 1))
     with pytest.raises(ValueError, match=rf"q must be at most 2\*\*63 - 1; got q={big + 1}"):
-        PieceBag(3, big + 1, pieces)
+        PieceBag(3, big + 1, np.ones((9, 4), dtype=np.int64))
     assert MAX_Q == gen.MAX_Q == big - 1
     ones = np.ones((4, 3), dtype=np.int64)
     with pytest.raises(ValueError, match=rf"q must be at most 2\*\*63 - 1; got q={big}"):
         Puzzle(3, big, ones, ones.T)
-    top = (Piece(MAX_Q, 1, 1, 1), Piece(1, 1, MAX_Q - 1, 1))
-    colors = bag_colors(PieceBag(3, MAX_Q, (Piece(1, 1, 1, 1),) * 7 + top))
+    top = [[MAX_Q, 1, 1, 1], [1, 1, MAX_Q - 1, 1]]
+    colors = PieceBag(3, MAX_Q, [[1, 1, 1, 1]] * 7 + top).colors
     assert colors.dtype == np.int64
-    assert colors.tolist() == [[1, 1, 1, 1]] * 7 + [list(p) for p in top] + [[0, 0, 0, 0]]
+    assert colors.tolist() == [[1, 1, 1, 1]] * 7 + top
 
 
 def test_puzzle_file_round_trip():
@@ -223,6 +282,9 @@ def test_puzzle_file_round_trip():
     write_puzzle(p, buf)
     back = read_puzzle(io.StringIO(buf.getvalue()))
     assert back.same_colors(p)
+    again = io.StringIO()
+    write_puzzle(back, again)
+    assert again.getvalue() == buf.getvalue()
 
 
 def test_bag_file_round_trip():
@@ -230,15 +292,21 @@ def test_bag_file_round_trip():
     bag, _ = disassemble(p, 10)
     buf = io.StringIO()
     write_bag(bag, buf)
-    assert read_bag(io.StringIO(buf.getvalue())) == bag
+    back = read_bag(io.StringIO(buf.getvalue()))
+    assert (back.n, back.q) == (bag.n, bag.q)
+    assert np.array_equal(back.colors, bag.colors)
+    again = io.StringIO()
+    write_bag(back, again)
+    assert again.getvalue() == buf.getvalue()
 
 
 def test_assembly_file_round_trip():
     p = generate(3, 4, seed=9)
     _, planted = disassemble(p, 10)
     buf = io.StringIO()
-    write_assembly(planted, 3, buf)
+    write_assembly(planted, buf)
     assert read_assembly(io.StringIO(buf.getvalue())).placement == planted.placement
+    assert buf.getvalue().splitlines()[1].split() == [str(planted.placement[(i, 1)]) for i in (1, 2, 3)]
 
 
 def test_read_puzzle_rejects_garbage():

@@ -5,7 +5,6 @@ from jigsolve.gen import generate
 from jigsolve.grid import (
     STEPS,
     Assembly,
-    Piece,
     PieceBag,
     disassemble,
     is_feasible,
@@ -132,7 +131,7 @@ def test_duplicate_swap_law():
         dup = None
         for a in range(9):
             for b in range(a + 1, 9):
-                if bag.pieces[a] == bag.pieces[b]:
+                if bag.colors[a].tolist() == bag.colors[b].tolist():
                     dup = (a, b)
         if dup is None:
             continue
@@ -210,7 +209,7 @@ def test_brute_windows_equal_fast_path(nq, k, seed):
 def test_brute_windows_equal_fast_path_past_int64_keys():
     # a key up * (q + 1) + left on raw colors wraps int64 at this q
     q = 2**32
-    bag = PieceBag(3, q, (Piece(1, 1, 1, 1),) * 8 + (Piece(1, q, 1, 1),))
+    bag = PieceBag(3, q, [(1, 1, 1, 1)] * 8 + [(1, q, 1, 1)])
     fast = sorted(wa.cells for wa in enumerate_windows(bag, 1))
     brute = sorted(wa.cells for center in range(9) for wa in brute_force_windows(bag, center, 1))
     assert len(brute) == 120_960

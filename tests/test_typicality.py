@@ -166,7 +166,7 @@ def test_report_from_candidates_matches_check_typical():
     n = 7
     p = generate(n, 2000, seed=11)
     order = positions_row_major(n)
-    bag = PieceBag(n, p.q, tuple(piece_at(p, v) for v in order))
+    bag = PieceBag(n, p.q, [piece_at(p, v) for v in order])
     planted = Assembly({v: ix for ix, v in enumerate(order)})
     statuses = candidate_neighborhoods(bag, 1)
     direct = check_typical(p, 1)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies
 
 from jigsolve import windows
 from jigsolve.gen import generate
-from jigsolve.grid import Piece, PieceBag, disassemble
+from jigsolve.grid import Direction, PieceBag, disassemble
 from jigsolve.windows import (
     NO_WINDOW,
     BudgetExceededError,
@@ -48,7 +48,7 @@ def test_planted_windows_always_appear():
 def test_windows_are_feasible_and_injective():
     p = generate(5, 4, seed=6)
     bag, _ = disassemble(p, 6)
-    pieces = bag.pieces
+    pieces = bag.colors
     count = 0
     for wa in enumerate_windows(bag, 1, budget=10**7):
         count += 1
@@ -57,9 +57,9 @@ def test_windows_are_feasible_and_injective():
             for c in range(3):
                 pid = wa.cells[3 * r + c]
                 if c < 2:
-                    assert pieces[pid].right == pieces[wa.cells[3 * r + c + 1]].left
+                    assert pieces[pid, Direction.RIGHT] == pieces[wa.cells[3 * r + c + 1], Direction.LEFT]
                 if r < 2:
-                    assert pieces[pid].down == pieces[wa.cells[3 * (r + 1) + c]].up
+                    assert pieces[pid, Direction.DOWN] == pieces[wa.cells[3 * (r + 1) + c], Direction.UP]
     assert count > 0
 
 
@@ -110,14 +110,14 @@ def test_budget_runs_out_at_a_two_sided_cell():
     # five cells after them, and gives the one window.
     fresh = count(5)  # colors 1..4 link the classes; every other side is unique
     a, b, c, d = 1, 2, 3, 4
-    pieces = [Piece(a, next(fresh), next(fresh), b) for _ in range(10)]
-    pieces += [Piece(next(fresh), next(fresh), a, c) for _ in range(10)]
-    pieces += [Piece(d, b, next(fresh), next(fresh)) for _ in range(10)]
-    pieces += [Piece(next(fresh), c, d, next(fresh)) for _ in range(200)]
+    pieces = [(a, next(fresh), next(fresh), b) for _ in range(10)]
+    pieces += [(next(fresh), next(fresh), a, c) for _ in range(10)]
+    pieces += [(d, b, next(fresh), next(fresh)) for _ in range(10)]
+    pieces += [(next(fresh), c, d, next(fresh)) for _ in range(200)]
     right = [[next(fresh) for _ in range(3)] for _ in range(3)]  # [row][col]
     down = [[next(fresh) for _ in range(3)] for _ in range(3)]
     pieces += [
-        Piece(
+        (
             right[r][col],
             down[r - 1][col] if r else next(fresh),
             right[r][col - 1] if col else next(fresh),
@@ -126,8 +126,8 @@ def test_budget_runs_out_at_a_two_sided_cell():
         for r in range(3)
         for col in range(3)
     ]
-    pieces += [Piece(*(next(fresh) for _ in range(4))) for _ in range(256 - len(pieces))]
-    bag = PieceBag(16, next(fresh), tuple(pieces))
+    pieces += [tuple(next(fresh) for _ in range(4)) for _ in range(256 - len(pieces))]
+    bag = PieceBag(16, next(fresh), pieces)
     through_one_sided = 256 + (10 * 10 + 10 * 200 + 6) + (10 * 10 * 10 + 4)
     through_two_sided = through_one_sided + 10 * 10 * 10 * 200 + 4
     tracemalloc.start()
