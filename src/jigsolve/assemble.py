@@ -30,8 +30,8 @@ class ShellStuck(Exception):
 @dataclass(frozen=True, eq=False)
 class PartialAssembly:
     """A rigid component on the lattice, normalized to start at (0, 0):
-    piece ``pid[c]`` sits at cell ``(x[c], y[c])``, in the order the
-    pieces were attached, root first."""
+    piece ``pid[c]`` sits at cell ``(x[c], y[c])``; :func:`mutual_components`
+    lists the ids ascending."""
 
     pid: np.ndarray
     x: np.ndarray
@@ -61,52 +61,121 @@ def mutual_components(cands: Candidates) -> list[PartialAssembly]:
     both directions: piece ``p`` links to ``stable[p, d]`` when that
     piece's stable claim in direction ``d ^ 2`` is ``p``. With no
     multiple statuses this is exactly the unique-neighborhood join.
+
     Pieces are attached breadth first from the smallest unattached id; a
     link is dropped when its far piece is already attached or its cell is
-    already taken. Components are normalized to start at (0, 0) and
-    sorted largest first, then by smallest piece id.
+    already taken. A union-find over the links places each piece relative
+    to its graph component's smallest id; where those places agree with
+    every link and are distinct, that walk attaches the whole component
+    there, so only the other graph components are walked. Components
+    start at (0, 0), list their ids ascending, and are sorted largest
+    first, then by smallest id; singletons follow, ascending.
     """
     stable = cands.stable
+    num = len(stable)
     far = np.maximum(stable, 0)  # a -1 claim reads piece 0 here and is masked below
     back = stable[far, [2, 3, 0, 1]]  # back[p, d] = stable[stable[p, d], d ^ 2]
-    linked = np.where((stable >= 0) & (back == np.arange(len(stable))[:, None]), stable, -1)
-    links = linked.tolist()
-    # a cell (x, y) relative to the root is packed as x * width + y
-    width = 2 * len(links) + 1
-    steps = [x * width + y for x, y in STEPS]
+    linked = np.where((stable >= 0) & (back == np.arange(num)[:, None]), stable, -1)
+    # a cell (x, y) relative to a root is packed as x * width + y, so cells add
+    width = 2 * num + 1
+    src, col = np.nonzero(linked[:, :2] >= 0)  # right and up: each link once
+    dst = linked[src, col]
+    step = np.where(col == 0, width, 1)
+    root, off = _union_find(num, src, dst, step)
 
-    seen = bytearray(len(links))
-    joined: list[tuple[list[int], list[int]]] = []
-    for root in np.flatnonzero((linked >= 0).any(axis=1)).tolist():
-        if seen[root]:
+    # a graph component is rigid when every link steps where the union-find
+    # put its far piece and no two pieces share a cell; wrapping on
+    # overflow can only merge keys, which sends a rigid component to the walk
+    members = np.flatnonzero((linked >= 0).any(axis=1))
+    keys = root[members] * (2 * num * width) + off[members]
+    ranked = np.sort(keys)
+    bad = np.zeros(num, dtype=bool)
+    bad[root[src[off[dst] - off[src] != step]]] = True
+    shared = ranked[1:][ranked[1:] == ranked[:-1]]
+    bad[root[members[np.isin(keys, shared)]]] = True
+    walk = members[bad[root[members]]]
+    root[walk] = walk  # a piece the walk leaves alone is a singleton
+    _breadth_first(dict(zip(walk.tolist(), linked[walk].tolist())), width, root, off)
+
+    pid = members[np.argsort(root[members], kind="stable")]  # grouped by root, ascending within
+    starts = np.flatnonzero(np.diff(root[pid], prepend=-1))
+    sizes = np.diff(starts, append=len(pid))
+    x = (off[pid] + width // 2) // width  # |y| <= width // 2, so this rounds to x
+    y = off[pid] - x * width
+    x -= np.repeat(np.minimum.reduceat(x, starts), sizes)
+    y -= np.repeat(np.minimum.reduceat(y, starts), sizes)
+    spans = [slice(starts[c], starts[c] + sizes[c]) for c in np.lexsort((pid[starts], -sizes)) if sizes[c] > 1]
+    comps = [PartialAssembly(pid[at], x[at], y[at]) for at in spans]
+    alone = np.ones(num, dtype=bool)
+    alone[pid[np.repeat(sizes, sizes) > 1]] = False
+    alone = np.flatnonzero(alone)
+    origin = np.zeros(1, dtype=np.int64)
+    return comps + [PartialAssembly(alone[c : c + 1], origin, origin) for c in range(len(alone))]
+
+
+def _union_find(num: int, src: np.ndarray, dst: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's root, the smallest id of its graph component under the
+    links ``src -> dst``, and its packed place relative to that root when
+    each link moves by ``step``, along a spanning tree of the links.
+
+    Hook and jump: each round, every link between two trees hooks the
+    larger root onto the smaller, one link winning per hooked root; hooked
+    roots jump to their new roots, then every node to its root's.
+    """
+    par = np.arange(num)
+    off = np.zeros(num, dtype=np.int64)
+    slot = np.empty(num, dtype=np.int64)
+    while True:
+        ra, rb = par[src], par[dst]
+        cross = np.flatnonzero(ra != rb)  # integer indices: masks over scattered hits are slower
+        if not len(cross):
+            return par, off
+        src, dst, step, ra, rb = src[cross], dst[cross], step[cross], ra[cross], rb[cross]
+        gap = off[src] + step - off[dst]  # the place of rb relative to ra
+        hi = np.maximum(ra, rb)
+        # which write wins does not matter: a rigid component's places do not depend on the tree
+        slot[hi] = np.arange(len(hi))
+        won = np.flatnonzero(slot[hi] == np.arange(len(hi)))
+        hooked = hi[won]
+        par[hooked] = np.minimum(ra, rb)[won]
+        off[hooked] = np.where(rb > ra, gap, -gap)[won]
+        while len(hooked):
+            up = par[hooked]
+            moving = np.flatnonzero(par[up] != up)
+            hooked, up = hooked[moving], up[moving]
+            off[hooked] += off[up]
+            par[hooked] = par[up]
+        off += off[par]
+        par = par[par]
+
+
+def _breadth_first(links: dict[int, list[int]], width: int, root: np.ndarray, off: np.ndarray) -> None:
+    """The walk of :func:`mutual_components` from each piece of ``links``
+    (ascending, mapped to its right, up, left and down links, -1 for
+    none): each piece of a component of two or more gets the component's
+    first piece in ``root`` and its packed cell relative to it in ``off``.
+    """
+    steps = [x * width + y for x, y in STEPS]
+    seen: set[int] = set()
+    for first in links:
+        if first in seen:
             continue
-        seen[root] = 1
-        pids, cells = [root], [0]
+        seen.add(first)
+        pids, cells = [first], [0]
         taken = {0}
         for pid, cell in zip(pids, cells):  # the lists are the queue: zip sees what is appended
             for step, other in zip(steps, links[pid]):
-                if other >= 0 and not seen[other]:
+                if other >= 0 and other not in seen:
                     at = cell + step
                     if at not in taken:
                         taken.add(at)
-                        seen[other] = 1
+                        seen.add(other)
                         pids.append(other)
                         cells.append(at)
         if len(pids) > 1:
-            joined.append((pids, cells))
-        else:  # every piece linked to root was attached before
-            seen[root] = 0
-
-    joined.sort(key=lambda c: (-len(c[0]), c[0][0]))
-    comps = []
-    for pids, cells in joined:
-        packed = np.array(cells)
-        x = (packed + width // 2) // width  # |y| <= width // 2, so this rounds to x
-        y = packed - x * width
-        comps.append(PartialAssembly(np.array(pids), x - x.min(), y - y.min()))
-    alone = np.flatnonzero(np.frombuffer(seen, dtype=np.uint8) == 0)
-    origin = np.zeros(1, dtype=np.int64)
-    return comps + [PartialAssembly(alone[c : c + 1], origin, origin) for c in range(len(alone))]
+            root[pids], off[pids] = first, cells
+        else:  # every piece linked to it was attached before
+            seen.discard(first)
 
 
 def core_guesses(comp: PartialAssembly, n: int, k: int) -> list[Coord]:

@@ -93,126 +93,104 @@ def report_from_candidates(
     on_ring = np.ones((n, n), dtype=bool)
     on_ring[k : n - k, k : n - k] = False
     ys, xs = np.nonzero(on_ring)
-    peripheral = list(zip((xs + 1).tolist(), (ys + 1).tolist()))
     ring = grid[on_ring]
 
-    core_unique, core_witness = True, None
+    def position(ix: int) -> Coord:
+        return int(xs[ix]) + 1, int(ys[ix]) + 1
+
+    core_witness = None
     off = ~statuses.unique
     off[ring] = False  # core pieces without a unique neighborhood
     if off.any():
         ix = int(np.flatnonzero(off[grid])[0])  # the first such position, row-major
         pid = int(grid.flat[ix])
-        v = (ix % n + 1, ix // n + 1)
-        core_unique, core_witness = False, (v, "multiple" if statuses.multiple[pid] else "none")
+        core_witness = ((ix % n + 1, ix // n + 1), "multiple" if statuses.multiple[pid] else "none")
 
-    peripheral_consistent, peripheral_witness = True, None
-    for ix in np.flatnonzero(statuses.windows[ring]).tolist():
-        v, pid = peripheral[ix], int(ring[ix])
-        if statuses.multiple[pid]:
-            peripheral_consistent, peripheral_witness = False, (v, "multiple")
-            break
-        if tuple(statuses.stable[pid].tolist()) != _planted_neighborhood(grid, v):
-            peripheral_consistent, peripheral_witness = False, (v, "not planted")
-            break
+    # planted neighbors right, up, left, down; -1 off the board, so a
+    # border piece never names them
+    padded = np.full((n + 2, n + 2), -1, dtype=np.int64)
+    padded[1:-1, 1:-1] = grid
+    around = np.stack([padded[1:-1, 2:], padded[2:, 1:-1], padded[1:-1, :-2], padded[:-2, 1:-1]], axis=-1)
+    multiple = statuses.multiple[ring]
+    strays = np.flatnonzero(
+        (statuses.windows[ring] > 0) & (multiple | (statuses.stable[ring] != around[on_ring]).any(axis=1))
+    )
+    peripheral_witness = None
+    if len(strays):
+        peripheral_witness = (position(strays[0]), "multiple" if multiple[strays[0]] else "not planted")
 
-    ring_pieces = sides[on_ring.ravel()].tolist()
-
-    # repeated colors among edges touching the periphery
-    edge_colors: dict[EdgeId, int] = {}
-    for v, piece in zip(peripheral, ring_pieces):
-        for d in range(4):
-            e = edge_in_direction(v, d)
-            if e not in edge_colors:
-                edge_colors[e] = piece[d]
-    counts: dict[int, int] = {}
-    for c in edge_colors.values():
-        counts[c] = counts.get(c, 0) + 1
-    nonunique = 0
+    # repeated colors among the edges touching the periphery, each edge
+    # once: a left or down side that a ring neighbor shares is its right or up
+    ring_sides = sides[on_ring.ravel()]
+    counted = np.ones((n, n, 4), dtype=bool)
+    counted[:, 1:, 2] = ~on_ring[:, :-1]
+    counted[1:, :, 3] = ~on_ring[:-1, :]
+    colors, counts = np.unique(ring_sides[counted[on_ring]], return_counts=True)
+    nonunique = int(counts[counts >= 2].sum())
+    rank = np.searchsorted(colors, ring_sides)
+    # the first repeated edge met scanning the ring, then each piece's sides
+    repeated = np.flatnonzero(counts[rank] >= 2)
     edge_witness = None
-    for e, c in edge_colors.items():
-        if counts[c] >= 2:
-            nonunique += 1
-            if edge_witness is None:
-                edge_witness = e
-    edge_budget = n - 2 * k - 1
-    edge_colors_ok = nonunique <= edge_budget
+    if len(repeated):
+        edge_witness = edge_in_direction(position(repeated[0] // 4), int(repeated[0] % 4))
 
-    # no two peripheral pieces may share a color pair
-    pair_sharing_ok, pair_witness = True, None
-    seen_pairs: dict[tuple[int, int], Coord] = {}
-    for v, piece in zip(peripheral, ring_pieces):
-        for key in _color_pairs(piece):
-            prev = seen_pairs.get(key)
-            if prev is None:
-                seen_pairs[key] = v
-            elif prev != v and pair_sharing_ok:
-                pair_sharing_ok, pair_witness = False, (prev, v, key)
-        if not pair_sharing_ok:
-            break
+    # no two peripheral pieces may share a color pair: a pair entry whose
+    # first holder is another piece shares it; the first such entry,
+    # scanning ring pieces and then their pairs, is the witness
+    a, b = np.triu_indices(4, 1)
+    low, high = np.minimum(rank[:, a], rank[:, b]), np.maximum(rank[:, a], rank[:, b])
+    pairs = (low * len(colors) + high).ravel()
+    _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    holder = first[inverse] // 6
+    shared = np.flatnonzero(holder != np.arange(len(pairs)) // 6)
+    pair_witness = None
+    if len(shared):
+        e = shared[0]
+        key = (int(colors[low.flat[e]]), int(colors[high.flat[e]]))
+        pair_witness = (position(holder[e]), position(e // 6), key)
 
     # every color pair must be on at most c_prime * k pieces (all pieces);
     # an integer count exceeds the threshold exactly when it exceeds its floor
-    limit = math.floor(c_prime * k)
-    pairs, pair_counts = _pair_counts(sides)
-    over = np.flatnonzero(pair_counts > limit)
-    color_pair_witness = None
-    if over.size:
-        a, b = pairs[over[0]].tolist()
-        color_pair_witness = ((a, b), int(pair_counts[over[0]]))
+    color_pair_witness = _crowded_pair(sides, math.floor(c_prime * k))
 
     return TypicalityReport(
         k=k,
         c_prime=c_prime,
-        core_unique=core_unique,
+        core_unique=core_witness is None,
         core_witness=core_witness,
-        peripheral_consistent=peripheral_consistent,
+        peripheral_consistent=peripheral_witness is None,
         peripheral_witness=peripheral_witness,
-        edge_colors_ok=edge_colors_ok,
+        edge_colors_ok=nonunique <= n - 2 * k - 1,
         nonunique_peripheral_edges=nonunique,
         edge_witness=edge_witness,
-        pair_sharing_ok=pair_sharing_ok,
+        pair_sharing_ok=pair_witness is None,
         pair_witness=pair_witness,
         color_pair_ok=color_pair_witness is None,
         color_pair_witness=color_pair_witness,
     )
 
 
-def _planted_neighborhood(grid: np.ndarray, v: Coord) -> tuple[int, int, int, int] | None:
-    """Planted neighbor ids of v in direction order, None if v borders."""
-    n = len(grid)
-    i, j = v
-    if not (1 < i < n and 1 < j < n):
-        return None
-    # grid[j - 1, i - 1] holds position (i, j); neighbors right, up, left, down
-    rows, cols = [j - 1, j, j - 1, j - 2], [i, i - 1, i - 2, i - 1]
-    return tuple(grid[rows, cols].tolist())  # type: ignore[return-value]
-
-
-def _color_pairs(piece) -> list[tuple[int, int]]:
-    """The six unordered jig color pairs of a piece, as sorted tuples."""
-    out = []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            ca, cb = piece[a], piece[b]
-            out.append((ca, cb) if ca <= cb else (cb, ca))
-    return out
-
-
-def _pair_counts(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every jig color pair of the pieces ``sides`` (one row of four
-    colors each) with the number of pieces holding it.
-
-    Returns ``(pairs, counts)``: ``pairs`` has one sorted ``(a, b)`` row
-    per distinct pair, ascending, and ``counts[i]`` counts the pieces
-    with ``pairs[i]`` among the six pairs of their four colors.
-    """
-    # colors ranked densely, so a pair key fits int64 whatever q is
-    colors, ranks = np.unique(sides, return_inverse=True)
-    ranks = np.sort(ranks.reshape(-1, 4), axis=1)
-    stride = len(colors)
+def _crowded_pair(sides: np.ndarray, limit: int) -> tuple[tuple[int, int], int] | None:
+    """The smallest jig color pair ``(a, b)``, ``a <= b``, that more than
+    ``limit`` of the pieces ``sides`` (one row of four colors each) hold
+    among the six pairs of their colors, with the number of those pieces;
+    None when there is no such pair."""
     a, b = np.triu_indices(4, 1)
-    keys = np.sort(ranks[:, a] * stride + ranks[:, b], axis=1)
-    first = np.ones(keys.shape, dtype=bool)
-    first[:, 1:] = keys[:, 1:] != keys[:, :-1]
-    uniq, counts = np.unique(keys[first], return_counts=True)
-    return colors[np.stack([uniq // stride, uniq % stride], axis=1)], counts
+    colors = np.sort(sides, axis=1)
+    ranks = colors
+    if colors[:, 3].max() >= 2**31:  # pair keys would pass int64: rank the colors first
+        ranks = np.unique(colors, return_inverse=True)[1].reshape(colors.shape)
+    keys = ranks[:, a] * (int(ranks.max()) + 1) + ranks[:, b]
+    # over sorted colors, the pair (a, b) is a piece's first copy of its
+    # value when a starts a run of equal colors and b starts one or follows a
+    starts = np.ones(colors.shape, dtype=bool)
+    starts[:, 1:] = colors[:, 1:] != colors[:, :-1]
+    first = starts[:, a] & (starts[:, b] | (b == a + 1))
+    ranked = np.sort(keys[first])
+    runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    counts = np.diff(runs, append=len(ranked))
+    over = np.flatnonzero(counts > limit)
+    if not len(over):
+        return None
+    e = int(np.flatnonzero(keys.ravel() == ranked[runs[over[0]]])[0])
+    return (int(colors[:, a].flat[e]), int(colors[:, b].flat[e])), int(counts[over[0]])

@@ -1,12 +1,14 @@
 """Shared builders for the test suite."""
 
+import math
 import random
 
 import numpy as np
 
 from jigsolve.assemble import PartialAssembly
 from jigsolve.constraints import WindowMap
-from jigsolve.grid import Puzzle
+from jigsolve.grid import Assembly, EdgeId, Puzzle, edge_in_direction, piece_colors
+from jigsolve.typicality import DEFAULT_C_PRIME, TypicalityReport
 from jigsolve.windows import Candidates
 
 
@@ -68,3 +70,84 @@ def component(cells: dict) -> PartialAssembly:
 def component_cells(comp: PartialAssembly) -> dict:
     """A component's cells as a mapping ``(x, y) -> piece id``."""
     return dict(zip(zip(comp.x.tolist(), comp.y.tolist()), comp.pid.tolist()))
+
+
+def reference_report(puzzle: Puzzle, planted: Assembly, statuses: Candidates, k: int, c_prime=DEFAULT_C_PRIME):
+    """:func:`jigsolve.typicality.report_from_candidates` as a walk over
+    the ring's positions, edges and color pairs, one at a time."""
+    n = puzzle.n
+    grid = planted.grid.tolist()  # grid[j - 1][i - 1] holds position (i, j)
+    pieces = piece_colors(puzzle).tolist()  # row-major
+    at = {(i, j): grid[j - 1][i - 1] for j in range(1, n + 1) for i in range(1, n + 1)}
+    row_major = [(i, j) for j in range(1, n + 1) for i in range(1, n + 1)]
+    on_ring = [v for v in row_major if not (k < v[0] <= n - k and k < v[1] <= n - k)]
+    ring = set(on_ring)
+    stable = statuses.stable.tolist()
+    unique, multiple, windows = statuses.unique.tolist(), statuses.multiple.tolist(), statuses.windows.tolist()
+
+    core_witness = None
+    for v in row_major:
+        pid = at[v]
+        if v not in ring and not unique[pid]:
+            core_witness = (v, "multiple" if multiple[pid] else "none")
+            break
+
+    peripheral_witness = None
+    for v in on_ring:
+        pid = at[v]
+        if not windows[pid]:
+            continue
+        if multiple[pid]:
+            peripheral_witness = (v, "multiple")
+            break
+        i, j = v
+        inside = 1 < i < n and 1 < j < n
+        planted_neighbors = [at[(i + dx, j + dy)] for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1))] if inside else None
+        if stable[pid] != planted_neighbors:
+            peripheral_witness = (v, "not planted")
+            break
+
+    edge_colors: dict[EdgeId, int] = {}
+    for v in on_ring:
+        for d in range(4):
+            edge_colors.setdefault(edge_in_direction(v, d), puzzle.edge_color(edge_in_direction(v, d)))
+    counts: dict[int, int] = {}
+    for c in edge_colors.values():
+        counts[c] = counts.get(c, 0) + 1
+    repeated = [e for e, c in edge_colors.items() if counts[c] >= 2]
+
+    pair_witness = None
+    first_seen: dict[tuple[int, int], tuple[int, int]] = {}
+    for v in on_ring:
+        piece = pieces[(v[1] - 1) * n + v[0] - 1]
+        for a in range(4):
+            for b in range(a + 1, 4):
+                key = tuple(sorted((piece[a], piece[b])))
+                prev = first_seen.setdefault(key, v)
+                if prev != v and pair_witness is None:
+                    pair_witness = (prev, v, key)
+        if pair_witness is not None:
+            break
+
+    holders: dict[tuple[int, int], int] = {}
+    for piece in pieces:
+        for key in {tuple(sorted((piece[a], piece[b]))) for a in range(4) for b in range(a + 1, 4)}:
+            holders[key] = holders.get(key, 0) + 1
+    limit = math.floor(c_prime * k)
+    crowded = [(key, count) for key, count in sorted(holders.items()) if count > limit]
+
+    return TypicalityReport(
+        k=k,
+        c_prime=c_prime,
+        core_unique=core_witness is None,
+        core_witness=core_witness,
+        peripheral_consistent=peripheral_witness is None,
+        peripheral_witness=peripheral_witness,
+        edge_colors_ok=len(repeated) <= n - 2 * k - 1,
+        nonunique_peripheral_edges=len(repeated),
+        edge_witness=repeated[0] if repeated else None,
+        pair_sharing_ok=pair_witness is None,
+        pair_witness=pair_witness,
+        color_pair_ok=not crowded,
+        color_pair_witness=crowded[0] if crowded else None,
+    )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jigsolve import assemble
 from jigsolve.assemble import (
     ShellStuck,
     assemble_shells,
@@ -58,6 +59,99 @@ def test_join_offset_conflict():
     assert comps[0].size == 4
     assert set(comps[0].pid.tolist()) == {0, 1, 2, 3}
     assert {c.size for c in comps[1:]} == {1}
+
+
+def walked_components(cands):
+    """The components of the breadth-first walk run from every linked
+    piece, in ``mutual_components`` order, each as a set of (pid, x, y)."""
+    stable = cands.stable
+    num = len(stable)
+    links = {}
+    for p, row in enumerate(stable.tolist()):
+        row = [o if o >= 0 and stable[o, d ^ 2] == p else -1 for d, o in enumerate(row)]
+        if max(row) >= 0:
+            links[p] = row
+    width = 2 * num + 1
+    root, off = np.arange(num), np.zeros(num, dtype=np.int64)
+    assemble._breadth_first(links, width, root, off)
+    groups = {}
+    for p in range(num):
+        x = (int(off[p]) + width // 2) // width
+        groups.setdefault(int(root[p]), []).append((p, x, int(off[p]) - x * width))
+    comps = []
+    for first, members in sorted(groups.items(), key=lambda g: (-len(g[1]), g[0])):
+        if len(members) > 1:
+            low_x, low_y = min(x for _, x, _ in members), min(y for _, _, y in members)
+            comps.append({(p, x - low_x, y - low_y) for p, x, y in members})
+    return comps + [{(p, 0, 0)} for p in sorted(g[0][0] for g in groups.values() if len(g) == 1)]
+
+
+@st.composite
+def corrupted_claims(draw, mode):
+    """Claims of planted lattices with holes, on shuffled ids, plus one
+    corruption: ``clean``, ``one_directional`` (claims naming a piece
+    that never claims back), ``conflict`` (the offset-conflict gadget),
+    ``ring`` (a closed ring of right links) or ``teleport`` (a mutual
+    link between two lattice pieces)."""
+    cells = []  # (lattice, x, y) of every piece; None for the extra pieces
+    for lattice in range(draw(st.integers(1, 3))):
+        w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        cells += [(lattice, x, y) for x in range(w) for y in range(h) if draw(st.integers(0, 9)) > 0]
+    gadget = {"conflict": 5, "ring": draw(st.integers(1, 4))}.get(mode, 0)
+    num = len(cells) + gadget + 1  # the last piece never claims
+    ids = draw(st.permutations(range(num)))
+    at = {cell: ids[c] for c, cell in enumerate(cells)}
+    silent = {ids[c] for c in range(len(cells)) if draw(st.integers(0, 7)) == 0}  # holes with a piece
+    claims = {}
+    for (lattice, x, y), pid in at.items():
+        if pid not in silent:
+            claims[pid] = [at.get((lattice, x + dx, y + dy), -1) for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    extra = ids[len(cells) : len(cells) + gadget]
+    if mode == "conflict":
+        p0, p1, p2, p3, p4 = extra  # 0-R->1-U->2 and 0-U->3-R->4 put 2 and 4 on one cell
+        claims.update(
+            {p0: [p1, p3, -1, -1], p1: [-1, p2, p0, -1], p2: [-1, -1, -1, p1], p3: [p4, -1, -1, p0], p4: [-1, -1, p3, -1]}
+        )
+    elif mode == "ring":
+        for c, pid in enumerate(extra):
+            claims[pid] = [extra[(c + 1) % gadget], -1, extra[c - 1], -1]
+    elif claims and mode in ("one_directional", "teleport"):
+        talkers = sorted(claims)
+        for _ in range(draw(st.integers(1, 3))):
+            a, d = draw(st.sampled_from(talkers)), draw(st.integers(0, 3))
+            if mode == "one_directional":
+                claims[a][d] = ids[-1]
+            else:
+                b = draw(st.sampled_from(talkers))
+                claims[a][d], claims[b][d ^ 2] = b, a
+    return num, claims
+
+
+@pytest.mark.parametrize("mode", ["clean", "one_directional", "conflict", "ring", "teleport"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_join_matches_breadth_first_walk(mode, data):
+    num, claims = data.draw(corrupted_claims(mode))
+    cands = claimed_candidates(num, claims)
+    walked = []
+    walk = assemble._breadth_first
+
+    def spy(links, *args):
+        walked.append(len(links))
+        return walk(links, *args)
+
+    assemble._breadth_first = spy
+    try:
+        comps = mutual_components(cands)
+    finally:
+        assemble._breadth_first = walk
+    assert [set(zip(c.pid.tolist(), c.x.tolist(), c.y.tolist())) for c in comps] == walked_components(cands)
+    assert all((np.diff(c.pid) > 0).all() for c in comps)
+    # rigid components skip the walk; a gadget that closes a cycle off the lattice takes it
+    if mode in ("clean", "one_directional"):
+        assert walked == [0]
+    elif mode in ("conflict", "ring"):
+        assert walked[0] > 0
 
 
 def planted_claims(n, seed, shuffle_seed):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import os
@@ -166,6 +167,12 @@ def test_success_rate_grows_with_alpha():
     assert hi >= 8
 
 
+#: SHA-256 of the alpha grid's 200 records without their runtime column,
+#: joined by newlines. A change of this value means a change of the
+#: solver's or the checker's results.
+ALPHA_GRID_FIRST_NINE_SHA256 = "f358623ef230fb4e3812f0594655202561735a3d79c1182bd87304e80cfe1206"
+
+
 def test_alpha_grid_monotone_at_n30():
     # the exponent grid at full scale: recovery rates may invert once by
     # at most 0.06 along alpha (small-q cells blow the budget and count
@@ -174,12 +181,13 @@ def test_alpha_grid_monotone_at_n30():
         ns=(30,), k=1, trials=50, master_seed=77, alphas=(1.0, 1.3, 1.6, 2.0),
         budget=10**6,
     )
-    rows = 0
     rates = {q: 0 for (_, q) in cfg.cells()}
+    first_nine = []
     for rec in sweep_records(cfg):
         rates[rec.q] += rec.planted_match
-        rows += 1
-    assert rows == 200
+        first_nine.append(rec.csv_row().rsplit(",", 1)[0])
+    assert len(first_nine) == 200
+    assert hashlib.sha256("\n".join(first_nine).encode()).hexdigest() == ALPHA_GRID_FIRST_NINE_SHA256
     ordered = [rates[q] / 50 for (_, q) in cfg.cells()]
     inversions = [
         ordered[i] - ordered[i + 1]

@@ -1,13 +1,17 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jigsolve.assemble import solve
 from jigsolve.gen import generate
-from jigsolve.grid import Assembly, disassemble, piece_at, positions_row_major
+from jigsolve.grid import Assembly, Puzzle, disassemble, piece_at, positions_row_major
+from jigsolve.rng import generator
 from jigsolve.typicality import DEFAULT_C_PRIME, check_typical, report_from_candidates
-from jigsolve.windows import BudgetExceededError, candidate_neighborhoods
-from helpers import claimed_candidates, explicit_puzzle
+from jigsolve.windows import BudgetExceededError, Candidates, candidate_neighborhoods
+from helpers import claimed_candidates, explicit_puzzle, reference_report
 
 
 def test_default_constant():
@@ -184,3 +188,72 @@ def test_k_validation():
     p = generate(4, 3, seed=0)
     with pytest.raises(ValueError):
         check_typical(p, 2)
+
+
+def mixed_statuses(planted: Assembly, noise: float, seed: int) -> Candidates:
+    """Statuses of a shuffled bag as windows would give them: inner pieces
+    unique with their planted neighborhood, border pieces without windows.
+    Each piece is then redrawn with probability ``noise`` as one of the
+    kinds the checker tells apart: no window, unique with random
+    neighbors, multiple, or planted (a border piece: multiple)."""
+    grid = planted.grid
+    n = len(grid)
+    rng = generator(seed)
+    padded = np.full((n + 2, n + 2), -1, dtype=np.int64)
+    padded[1:-1, 1:-1] = grid
+    around = np.stack([padded[1:-1, 2:], padded[2:, 1:-1], padded[1:-1, :-2], padded[:-2, 1:-1]], axis=-1)
+    stable = np.empty((n * n, 4), dtype=np.int64)
+    stable[grid.ravel()] = around.reshape(-1, 4)
+    windows = (stable >= 0).all(axis=1).astype(np.int64)
+    kind = np.where(rng.random(n * n) < noise, rng.integers(0, 4, n * n), -1)
+    windows[kind == 0] = 0
+    windows[kind > 0] = rng.integers(1, 4, int((kind > 0).sum()))
+    stable[kind == 1] = rng.integers(0, n * n, (int((kind == 1).sum()), 4))
+    stable[kind == 2, rng.integers(0, 4, int((kind == 2).sum()))] = -1
+    return Candidates(np.where(windows[:, None] > 0, stable, -1), windows)
+
+
+@given(
+    n=st.integers(3, 9),
+    q=st.one_of(st.integers(1, 40), st.just(10**6)),
+    k=st.sampled_from([1, 2]),
+    noise=st.sampled_from([0.0, 0.03, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    c_prime=st.sampled_from([DEFAULT_C_PRIME, Fraction(1), Fraction(3, 2), Fraction(3)]),
+    huge=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_report_matches_reference(n, q, k, noise, seed, c_prime, huge):
+    # low q repeats edge colors and shares pairs; huge colors rank the pairs first
+    assume(2 * k < n)
+    puzzle = generate(n, q, seed)
+    if huge:
+        shift = 2**63 - 1 - puzzle.q
+        puzzle = Puzzle(n, 2**63 - 1, puzzle.hcolors + shift, puzzle.vcolors + shift)
+    _, planted = disassemble(puzzle, seed + 1)
+    statuses = mixed_statuses(planted, noise, seed + 2)
+    assert report_from_candidates(puzzle, planted, statuses, k, c_prime) == reference_report(
+        puzzle, planted, statuses, k, c_prime
+    )
+
+
+def test_border_piece_never_names_its_planted_neighborhood():
+    # a border position has no planted neighborhood: even claims that name
+    # its planted neighbors on the board, and piece 0 off it, do not match
+    n = 4
+    puzzle = generate(n, 10**6, seed=3)
+    planted = Assembly(np.arange(n * n).reshape(n, n))  # position (i, j) holds (j - 1) * n + i - 1
+    statuses = claimed_candidates(n * n, {4: (5, 8, 0, 0)})  # position (1, 2): right (2, 2), up (1, 3), down (1, 1)
+    report = report_from_candidates(puzzle, planted, statuses, 1)
+    assert report.peripheral_witness == ((1, 2), "not planted")
+    assert report == reference_report(puzzle, planted, statuses, 1)
+
+
+def test_report_matches_reference_at_n60():
+    for seed in range(10):
+        puzzle = generate(60, 3600, seed)
+        bag, planted = disassemble(puzzle, seed + 1)
+        statuses = candidate_neighborhoods(bag, 1)
+        for c_prime in (DEFAULT_C_PRIME, Fraction(2)):
+            report = report_from_candidates(puzzle, planted, statuses, 1, c_prime)
+            assert report == reference_report(puzzle, planted, statuses, 1, c_prime)
