@@ -69,9 +69,6 @@ class Direction(IntEnum):
 #: Unit step toward each side, indexed by direction; the side opposite ``d`` is ``d ^ 2``.
 STEPS: tuple[Coord, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-DIRECTIONS = (Direction.RIGHT, Direction.UP, Direction.LEFT, Direction.DOWN)
-
-
 class EdgeId(NamedTuple):
     """Identity of one grid edge (orient 'h' or 'v', anchor indices)."""
 
@@ -137,14 +134,6 @@ class Puzzle:
                 raise ValueError(f"edge {e} out of range for n={self.n}")
             return int(self.vcolors[i - 1, j])
         raise ValueError(f"unknown edge orientation {orient!r}")
-
-    def same_colors(self, other: "Puzzle") -> bool:
-        return (
-            self.n == other.n
-            and self.q == other.q
-            and np.array_equal(self.hcolors, other.hcolors)
-            and np.array_equal(self.vcolors, other.vcolors)
-        )
 
 
 @dataclass(frozen=True, eq=False)

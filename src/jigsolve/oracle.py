@@ -4,9 +4,11 @@ Everything here is deliberately naive: no color index, no chain seeding.
 Assemblies are found by backtracking over the board in row-major order;
 windows by breadth-first extension over the window in row-major order,
 in numpy, holding every partial window at once. Both prune only by
-direct color comparison with the left and upper neighbors. The point is
-to be an independent reference for the fast enumeration and for
-uniqueness questions at tiny n, not to be quick.
+direct color comparison with the left and upper neighbors. The windows
+are one array, :func:`brute_force_window_rows`; :func:`brute_force_windows`
+lists its rows as :class:`WindowAssembly` tuples. The point is to be an
+independent reference for the fast enumeration and for uniqueness
+questions at tiny n, not to be quick.
 """
 
 from __future__ import annotations
@@ -103,15 +105,16 @@ def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessR
     )
 
 
-def brute_force_windows(bag: PieceBag, center: int, k: int = 1) -> list[WindowAssembly]:
+def brute_force_window_rows(bag: PieceBag, center: int, k: int = 1) -> np.ndarray:
     """Exhaustive enumeration of feasible windows with a given center.
 
     Starting from one empty window, each cell in row-major order extends
     every partial window by every piece (by ``center`` alone at the
     middle cell). An extension is kept when the piece matches its left
     and upper neighbors by direct color comparison and is not yet in the
-    window. The windows come out in ascending order of ``cells``. The cost
-    is O(partial windows x pieces) per cell, so this is for tiny n only.
+    window. The windows come out as one row each, cells row-major, in
+    ascending order. The cost is O(partial windows x pieces) per cell,
+    so this is for tiny n only.
     """
     RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
     # each partial window lies in a frame with a blank row above it and a
@@ -139,5 +142,9 @@ def brute_force_windows(bag: PieceBag, center: int, k: int = 1) -> list[WindowAs
             fresh &= rows[parent, before] != piece
         rows = rows[parent[fresh]]
         rows[:, cell] = piece[fresh]
-    columns = rows[:, cells].T.tolist()
-    return [WindowAssembly(k, c) for c in zip(*columns)]
+    return rows[:, cells]
+
+
+def brute_force_windows(bag: PieceBag, center: int, k: int = 1) -> list[WindowAssembly]:
+    """The rows of :func:`brute_force_window_rows` as :class:`WindowAssembly` tuples."""
+    return [WindowAssembly(k, c) for c in zip(*brute_force_window_rows(bag, center, k).T.tolist())]

@@ -19,20 +19,21 @@ color left of it; a neighbor outside the window reads as a sentinel
 column of color 0. Each cell sorts its keys, searches them in increasing
 order and scatters the runs back, which is several times faster than
 searching them as they come. Parents keep their order and candidates
-come in increasing piece id, so the stream is lexicographic in cell
+come in increasing piece id, so the rows are lexicographic in cell
 order. The budget counts candidate rows, checked before each cell's are
 allocated. A cell with more candidate rows than ``_CHUNK_ROWS`` is
 expanded a run of parents at a time, which bounds its index temporaries
-and leaves the stream as it is.
+and leaves the rows as they are.
 
-:func:`aggregate_candidates` folds the stream into :class:`Candidates`:
-per piece, the neighbors that all of its windows agree on, as one array.
+The windows are one array, :func:`window_rows`; :func:`enumerate_windows`
+adapts it to a stream of :class:`WindowAssembly` tuples for the readers
+that take one. :func:`aggregate_candidates` folds the stream into
+:class:`Candidates`: per piece, the neighbors that all of its windows
+agree on, as one array.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, ValuesView
-from functools import cached_property
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple
@@ -62,32 +63,6 @@ class WindowAssembly(NamedTuple):
     k: int
     cells: tuple[int, ...]
 
-    @property
-    def side(self) -> int:
-        return 2 * self.k + 1
-
-    @property
-    def center(self) -> int:
-        return self.cells[self.k * self.side + self.k]
-
-    def neighborhood(self) -> "CandidateNeighborhood":
-        mid = self.k * self.side + self.k
-        return CandidateNeighborhood(
-            right=self.cells[mid + 1],
-            up=self.cells[mid - self.side],
-            left=self.cells[mid - 1],
-            down=self.cells[mid + self.side],
-        )
-
-
-class CandidateNeighborhood(NamedTuple):
-    """The four claimed neighbors of a center piece, keyed by direction."""
-
-    right: int
-    up: int
-    left: int
-    down: int
-
 
 class CandidateStatus(NamedTuple):
     """Aggregate of all windows centered on one piece.
@@ -101,10 +76,7 @@ class CandidateStatus(NamedTuple):
     stable: tuple[int | None, int | None, int | None, int | None] = (None, None, None, None)
 
 
-NO_WINDOW = CandidateStatus("none")
-
-
-class Candidates(Mapping[int, CandidateStatus]):
+class Candidates:
     """Candidate statuses of the pieces ``0..N-1``, held as arrays.
 
     ``stable`` is (N, 4): ``stable[pid, d]`` is the neighbor in direction
@@ -112,9 +84,6 @@ class Candidates(Mapping[int, CandidateStatus]):
     windows disagree or there are none. ``windows[pid]`` counts the
     windows centered on ``pid``. A piece is "unique" when it has windows
     and no -1, "multiple" when it has windows and some -1, else "none".
-    Read as a mapping, it gives each piece's :class:`CandidateStatus`;
-    all of them are built together on first access, and pieces without
-    windows share ``NO_WINDOW``.
     """
 
     def __init__(self, stable: np.ndarray, windows: np.ndarray):
@@ -124,43 +93,25 @@ class Candidates(Mapping[int, CandidateStatus]):
         self.unique = seen & (stable >= 0).all(axis=1)
         self.multiple = seen & ~self.unique
 
-    def __len__(self) -> int:
-        return len(self.windows)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self.windows)))
-
-    def __getitem__(self, pid: int) -> CandidateStatus:
-        if pid not in range(len(self.windows)):  # also False for non-integer keys
-            raise KeyError(pid)
-        return self._views[pid]
-
-    def values(self) -> ValuesView[CandidateStatus]:
-        return _StatusValues(self)
-
-    @cached_property
-    def _views(self) -> list[CandidateStatus]:
+    def values(self) -> list[CandidateStatus]:
+        """Every piece's :class:`CandidateStatus`, by id, for the benchmark's
+        tracer; pieces without windows share one "none" status."""
         rows = self.stable.tolist()
-        views = [NO_WINDOW] * len(rows)
+        statuses = [CandidateStatus("none")] * len(rows)
         for pid in np.flatnonzero(self.unique).tolist():
-            views[pid] = CandidateStatus("unique", tuple(rows[pid]))
+            statuses[pid] = CandidateStatus("unique", tuple(rows[pid]))
         for pid in np.flatnonzero(self.multiple).tolist():
-            views[pid] = CandidateStatus("multiple", tuple(None if c < 0 else c for c in rows[pid]))
-        return views
+            statuses[pid] = CandidateStatus("multiple", tuple(None if c < 0 else c for c in rows[pid]))
+        return statuses
 
 
-class _StatusValues(ValuesView):
-    # iterates the built views instead of one __getitem__ per piece, which
-    # took a values() walk at n=60 from about 5 to 8 ms
-    def __iter__(self) -> Iterator[CandidateStatus]:
-        return iter(self._mapping._views)
+def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Every feasible window of the bag exactly once, one row each.
 
-
-def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[WindowAssembly]:
-    """Yield every feasible window assembly of the bag exactly once.
-
-    Raises :class:`BudgetExceededError`, before yielding anything, once
-    more than ``budget`` candidate rows would be materialised.
+    The array is (windows, (2k+1)^2) piece ids in the smallest unsigned
+    dtype that holds them, cells row-major, rows lexicographic in L-shell
+    cell order. Raises :class:`BudgetExceededError` once more than
+    ``budget`` candidate rows would be materialised.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -226,9 +177,18 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
         parts = [_extend(rows[i:j], lo[i:j], cnt[i:j], ids) for i, j in zip(edges, edges[1:])]
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
         del parts  # the chunks would otherwise live on beside rows through the next cell
+    return rows[:, canon]
 
+
+def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[WindowAssembly]:
+    """The rows of :func:`window_rows` as :class:`WindowAssembly` tuples, in order.
+
+    An adapter for readers of a stream: it raises, like
+    :func:`window_rows`, on the first ``next`` and before yielding anything.
+    """
+    rows = window_rows(bag, k, budget)
     for start in range(0, len(rows), 1024):
-        for window in zip(*rows[start : start + 1024, canon].T.tolist()):
+        for window in zip(*rows[start : start + 1024].T.tolist()):
             yield WindowAssembly(k, window)
 
 
@@ -258,7 +218,7 @@ def aggregate_candidates(num_pieces: int, windows: Iterator[WindowAssembly]) -> 
     stream = iter(windows)
     first = next(stream, None)
     if first is not None:
-        side = first.side
+        side = 2 * first.k + 1
         mid = first.k * side + first.k
         pick = itemgetter(mid, mid + 1, mid - side, mid - 1, mid + side)
         cells = map(pick, map(attrgetter("cells"), chain((first,), stream)))

@@ -13,11 +13,11 @@ from jigsolve.grid import (
 )
 from jigsolve.oracle import (
     LimitExceededError,
-    brute_force_windows,
+    brute_force_window_rows,
     enumerate_feasible_assemblies,
     uniqueness_report,
 )
-from jigsolve.windows import BudgetExceededError, enumerate_windows
+from jigsolve.windows import BudgetExceededError, window_rows
 from helpers import all_distinct_puzzle, explicit_puzzle
 
 
@@ -156,8 +156,7 @@ def test_brute_windows_contain_planted_block():
         for dy in (1, 0, -1)
         for dx in (-1, 0, 1)
     )
-    windows = brute_force_windows(bag, center, 1)
-    assert block in {wa.cells for wa in windows}
+    assert list(block) in brute_force_window_rows(bag, center, 1).tolist()
 
 
 def shell_order(k):
@@ -192,26 +191,26 @@ def test_brute_windows_equal_fast_path(nq, k, seed):
     n, q = nq
     bag, _ = disassemble(generate(n, q, seed=seed), seed + 1)
     try:
-        fast = list(enumerate_windows(bag, k, budget=10**5))
+        fast = window_rows(bag, k, budget=10**5)
     except BudgetExceededError:
         assume(False)
     brute = []
     for center in range(n * n):
-        windows = brute_force_windows(bag, center, k)
-        assert all(wa.center == center for wa in windows)
-        cells = [wa.cells for wa in windows]
+        rows = brute_force_window_rows(bag, center, k)
+        assert (rows[:, rows.shape[1] // 2] == center).all()
+        cells = rows.tolist()
         assert all(a < b for a, b in zip(cells, cells[1:]))  # strictly ascending
-        brute += windows
+        brute += cells
     order = shell_order(k)
-    assert fast == sorted(brute, key=lambda wa: [wa.cells[i] for i in order])
+    assert fast.tolist() == sorted(brute, key=lambda cells: [cells[i] for i in order])
 
 
 def test_brute_windows_equal_fast_path_past_int64_keys():
     # a key up * (q + 1) + left on raw colors wraps int64 at this q
     q = 2**32
     bag = PieceBag(3, q, [(1, 1, 1, 1)] * 8 + [(1, q, 1, 1)])
-    fast = sorted(wa.cells for wa in enumerate_windows(bag, 1))
-    brute = sorted(wa.cells for center in range(9) for wa in brute_force_windows(bag, center, 1))
+    fast = sorted(window_rows(bag, 1).tolist())
+    brute = sorted(cells for center in range(9) for cells in brute_force_window_rows(bag, center, 1).tolist())
     assert len(brute) == 120_960
     assert fast == brute
 
@@ -225,6 +224,6 @@ def test_deviant_only_empty_in_easy_regime():
         for cj in range(2, n):
             center = planted.placement[(ci, cj)]
             expected = tuple(planted.placement[(ci + dx, cj + dy)] for dx, dy in STEPS)
-            windows = brute_force_windows(bag, center, 1)
-            assert windows  # the planted window at least
-            assert all(tuple(wa.neighborhood()) == expected for wa in windows)
+            rows = brute_force_window_rows(bag, center, 1)
+            assert len(rows)  # the planted window at least
+            assert (rows[:, [5, 1, 3, 7]] == expected).all()  # right, up, left and down of the center

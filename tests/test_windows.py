@@ -1,32 +1,29 @@
 import random
 import tracemalloc
 from collections import Counter
-from collections.abc import Mapping
 from itertools import count
+from types import GeneratorType
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies
 
 from jigsolve import windows
 from jigsolve.gen import generate
-from jigsolve.grid import Direction, PieceBag, disassemble
+from jigsolve.grid import STEPS, Direction, PieceBag, disassemble
+from jigsolve.oracle import brute_force_window_rows, brute_force_windows
 from jigsolve.windows import (
-    NO_WINDOW,
     BudgetExceededError,
-    CandidateNeighborhood,
     CandidateStatus,
     WindowAssembly,
     aggregate_candidates,
     candidate_neighborhoods,
     enumerate_windows,
+    window_rows,
 )
 
-
-def test_window_assembly_accessors():
-    wa = WindowAssembly(1, tuple(range(9)))
-    assert wa.side == 3
-    assert wa.center == 4
-    assert wa.neighborhood() == CandidateNeighborhood(right=5, up=1, left=3, down=7)
+def same_candidates(a, b):
+    return np.array_equal(a.stable, b.stable) and np.array_equal(a.windows, b.windows)
 
 
 def test_planted_windows_always_appear():
@@ -34,7 +31,7 @@ def test_planted_windows_always_appear():
     n = 8
     p = generate(n, 10_000, seed=4)
     bag, planted = disassemble(p, 44)
-    found = {wa.cells for wa in enumerate_windows(bag, 1)}
+    found = set(map(tuple, window_rows(bag, 1).tolist()))
     for ci in range(2, n):
         for cj in range(2, n):
             block = tuple(
@@ -48,27 +45,20 @@ def test_planted_windows_always_appear():
 def test_windows_are_feasible_and_injective():
     p = generate(5, 4, seed=6)
     bag, _ = disassemble(p, 6)
-    pieces = bag.colors
-    count = 0
-    for wa in enumerate_windows(bag, 1, budget=10**7):
-        count += 1
-        assert len(set(wa.cells)) == 9
-        for r in range(3):
-            for c in range(3):
-                pid = wa.cells[3 * r + c]
-                if c < 2:
-                    assert pieces[pid, Direction.RIGHT] == pieces[wa.cells[3 * r + c + 1], Direction.LEFT]
-                if r < 2:
-                    assert pieces[pid, Direction.DOWN] == pieces[wa.cells[3 * (r + 1) + c], Direction.UP]
-    assert count > 0
+    rows = window_rows(bag, 1, budget=10**7)
+    assert len(rows) > 0
+    assert all(len(set(cells)) == 9 for cells in rows.tolist())
+    colors = bag.colors[rows.reshape(-1, 3, 3)]  # [window, row, column, side], top row first
+    assert (colors[:, :, :-1, Direction.RIGHT] == colors[:, :, 1:, Direction.LEFT]).all()
+    assert (colors[:, :-1, :, Direction.DOWN] == colors[:, 1:, :, Direction.UP]).all()
 
 
 def test_enumeration_deterministic():
     p = generate(4, 3, seed=1)
     bag, _ = disassemble(p, 2)
-    a = list(enumerate_windows(bag, 1, budget=10**7))
-    b = list(enumerate_windows(bag, 1, budget=10**7))
-    assert a == b
+    a = window_rows(bag, 1, budget=10**7)
+    b = window_rows(bag, 1, budget=10**7)
+    assert np.array_equal(a, b)
 
 
 def test_budget_exceeded_on_monochromatic():
@@ -153,6 +143,10 @@ def test_enumerate_validates_arguments():
         list(enumerate_windows(bag, 0))
     with pytest.raises(ValueError):
         list(enumerate_windows(bag, 1, budget=0))
+    with pytest.raises(ValueError):
+        window_rows(bag, 0)
+    with pytest.raises(ValueError):
+        window_rows(bag, 1, budget=0)
 
 
 def test_candidates_unique_and_planted_on_easy_puzzle():
@@ -161,52 +155,46 @@ def test_candidates_unique_and_planted_on_easy_puzzle():
     p = generate(n, q, seed=13)
     bag, planted = disassemble(p, 31)
     statuses = candidate_neighborhoods(bag, 1)
-    for v, pid in planted.placement.items():
-        st = statuses[pid]
-        if 2 <= v[0] <= n - 1 and 2 <= v[1] <= n - 1:
-            assert st.kind == "unique"
-            expected = CandidateNeighborhood(
-                right=planted.placement[(v[0] + 1, v[1])],
-                up=planted.placement[(v[0], v[1] + 1)],
-                left=planted.placement[(v[0] - 1, v[1])],
-                down=planted.placement[(v[0], v[1] - 1)],
-            )
-            assert st.stable == tuple(expected)
+    for (i, j), pid in planted.placement.items():
+        if 2 <= i <= n - 1 and 2 <= j <= n - 1:
+            assert statuses.unique[pid]
+            expected = [planted.placement[(i + dx, j + dy)] for dx, dy in STEPS]
+            assert statuses.stable[pid].tolist() == expected
         else:
-            assert st.kind == "none"  # corner/edge pieces see no window
+            assert statuses.windows[pid] == 0  # corner/edge pieces see no window
 
 
 def test_candidates_multiple_on_tiny_monochromatic():
     p = generate(3, 1, seed=0)
     bag, _ = disassemble(p, 0)
     statuses = candidate_neighborhoods(bag, 1, budget=10**7)
-    multis = [st for st in statuses.values() if st.kind == "multiple"]
-    assert multis
-    for st in multis:
-        assert None in st.stable
+    assert statuses.multiple.any()
+    assert (statuses.stable[statuses.multiple] < 0).any(axis=1).all()
 
 
 def test_candidate_witnesses_realized_by_windows():
     p = generate(4, 3, seed=3)
     bag, _ = disassemble(p, 5)
     neighborhoods = {}
-    for wa in enumerate_windows(bag, 1, budget=10**7):
-        neighborhoods.setdefault(wa.center, set()).add(wa.neighborhood())
+    # row-major cells 4, 5, 1, 3 and 7: the center and its right, up, left and down neighbors
+    for center, *around in window_rows(bag, 1, budget=10**7)[:, [4, 5, 1, 3, 7]].tolist():
+        neighborhoods.setdefault(center, set()).add(tuple(around))
     statuses = candidate_neighborhoods(bag, 1, budget=10**7)
-    for pid, st in statuses.items():
-        if st.kind == "none":
+    for pid, stable in enumerate(statuses.stable.tolist()):
+        if statuses.windows[pid] == 0:
             assert pid not in neighborhoods
-        elif st.kind == "unique":
-            assert neighborhoods[pid] == {st.stable}
+        elif statuses.unique[pid]:
+            assert neighborhoods[pid] == {tuple(stable)}
         else:
+            assert statuses.multiple[pid]
             assert len(neighborhoods[pid]) >= 2
             # stable directions agree across every observed neighborhood
             for d in range(4):
                 claims = {nb[d] for nb in neighborhoods[pid]}
-                if st.stable[d] is None:
+                if stable[d] < 0:
                     assert len(claims) > 1
                 else:
-                    assert claims == {st.stable[d]}
+                    assert claims == {stable[d]}
 
 
 @given(
@@ -223,25 +211,23 @@ def test_aggregate_independent_of_stream_order(nq, seed):
     shuffled = stream[:]
     random.Random(seed).shuffle(shuffled)
     expected = aggregate_candidates(n * n, iter(stream))
-    assert aggregate_candidates(n * n, reversed(stream)) == expected
-    assert aggregate_candidates(n * n, iter(shuffled)) == expected
+    assert same_candidates(aggregate_candidates(n * n, reversed(stream)), expected)
+    assert same_candidates(aggregate_candidates(n * n, iter(shuffled)), expected)
 
 
-def fold_windows(num_pieces, stream):
-    """Per-window reference fold: the neighbors every window of a piece agrees on."""
+def fold_windows(stream):
+    """Per-window reference fold: for each piece with windows, the right, up,
+    left and down neighbors every window of it agrees on, -1 where two differ."""
     agreed = {}
     for wa in stream:
-        nb = list(wa.neighborhood())
-        seen = agreed.setdefault(wa.center, nb)
+        side = 2 * wa.k + 1
+        mid = wa.k * side + wa.k
+        nb = [wa.cells[mid + 1], wa.cells[mid - side], wa.cells[mid - 1], wa.cells[mid + side]]
+        seen = agreed.setdefault(wa.cells[mid], nb)
         for d in range(4):
             if seen[d] != nb[d]:
-                seen[d] = None
-    return {
-        pid: CandidateStatus("multiple" if None in agreed[pid] else "unique", tuple(agreed[pid]))
-        if pid in agreed
-        else NO_WINDOW
-        for pid in range(num_pieces)
-    }
+                seen[d] = -1
+    return agreed
 
 
 @given(
@@ -257,33 +243,41 @@ def test_aggregate_matches_per_window_fold(n, k, q_per_n, seed):
         stream = list(enumerate_windows(bag, k, budget=10**6))
     except BudgetExceededError:
         assume(False)
-    expected = fold_windows(n * n, stream)
+    expected = fold_windows(stream)
     got = aggregate_candidates(n * n, iter(stream))
     for pid in range(n * n):
-        assert (got[pid].kind, got[pid].stable) == (expected[pid].kind, expected[pid].stable)
-    assert got.windows.tolist() == [Counter(wa.center for wa in stream)[pid] for pid in range(n * n)]
+        agreed = expected.get(pid)
+        assert got.stable[pid].tolist() == (agreed or [-1] * 4)
+        assert got.unique[pid] == (agreed is not None and -1 not in agreed)
+        assert got.multiple[pid] == (agreed is not None and -1 in agreed)
+    centers = Counter(wa.cells[len(wa.cells) // 2] for wa in stream)
+    assert got.windows.tolist() == [centers[pid] for pid in range(n * n)]
 
 
-def test_candidates_mapping_contract():
-    # what the CLI and outside tracers read: a read-only mapping of ids to statuses
-    n = 4
-    bag, _ = disassemble(generate(n, 3, seed=3), 5)
+def test_perfbench_adapter_contract():
+    # what the benchmark reads: statuses by id from values(), the stream's
+    # cells and the brute-force list's cells, each equal to the arrays
+    n = 5  # 10 unique pieces, 11 multiple (8 with a stable direction) and 4 without windows
+    bag, _ = disassemble(generate(n, 8, seed=3), 4)
     got = candidate_neighborhoods(bag, 1, budget=10**7)
-    assert isinstance(got, Mapping)
-    assert len(got) == n * n and list(got) == list(range(n * n))
-    values = list(got.values())
-    assert values == [got[pid] for pid in got] and list(got.items()) == list(enumerate(values))
-    assert all(isinstance(st, CandidateStatus) for st in values)
-    assert all(st is NO_WINDOW for st in values if st.kind == "none")
+    values = got.values()
+    assert len(values) == n * n and all(isinstance(st, CandidateStatus) for st in values)
+    for st, stable, unique, multiple in zip(values, got.stable.tolist(), got.unique, got.multiple):
+        assert st.kind == ("unique" if unique else "multiple" if multiple else "none")
+        claims = tuple(None if c < 0 else c for c in stable)
+        assert st.stable == claims
     kinds = Counter(st.kind for st in values)
     assert kinds["unique"] == got.unique.sum() and kinds["multiple"] == got.multiple.sum() > 0
-    assert kinds["none"] == (got.windows == 0).sum()
-    assert got == dict(got.items()) == candidate_neighborhoods(bag, 1, budget=10**7)
-    for missing in (-1, n * n, "0", 1.5, None):
-        assert missing not in got
-        with pytest.raises(KeyError):
-            got[missing]
-    assert got.get(n * n) is None
+    assert kinds["none"] == (got.windows == 0).sum() > 0
+    stream = enumerate_windows(bag, 1, budget=10**7)
+    assert isinstance(stream, GeneratorType)
+    rows = window_rows(bag, 1, budget=10**7)
+    assert [(wa.k, wa.cells) for wa in stream] == [(1, cells) for cells in map(tuple, rows.tolist())]
+    for center in range(n * n):
+        brute = brute_force_window_rows(bag, center, 1)
+        assert [(wa.k, wa.cells) for wa in brute_force_windows(bag, center, 1)] == [
+            (1, cells) for cells in map(tuple, brute.tolist())
+        ]
 
 
 def test_chunked_extension_keeps_the_stream(monkeypatch):
@@ -291,7 +285,8 @@ def test_chunked_extension_keeps_the_stream(monkeypatch):
     # with the same rows in the same order
     bag, _ = disassemble(generate(4, 3, seed=3), 5)
     whole = list(enumerate_windows(bag, 1, budget=10**7))
-    monkeypatch.setattr(windows, "_CHUNK_ROWS", 7)
-    assert list(enumerate_windows(bag, 1, budget=10**7)) == whole
-    monkeypatch.setattr(windows, "_CHUNK_ROWS", 1)
-    assert list(enumerate_windows(bag, 1, budget=10**7)) == whole
+    rows = window_rows(bag, 1, budget=10**7)
+    for chunk in (7, 1):
+        monkeypatch.setattr(windows, "_CHUNK_ROWS", chunk)
+        assert list(enumerate_windows(bag, 1, budget=10**7)) == whole
+        assert np.array_equal(window_rows(bag, 1, budget=10**7), rows)
