@@ -18,12 +18,16 @@ from . import assemble, constraints, experiments, gen, grid, oracle, typicality,
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.variant:
-        iota = variant.make_involution(args.q, args.involution)
+        if args.bag_out or args.planted_out:
+            raise ValueError("--bag-out and --planted-out apply to base puzzles, not --variant")
+        iota = variant.make_involution(args.q, args.involution or "identity")
         vp = gen.generate_variant(args.n, args.q, iota, args.seed)
         with open(args.out, "w") as fh:
             variant.write_variant(vp, fh)
         print(f"wrote variant puzzle n={args.n} q={args.q} to {args.out}")
         return 0
+    if args.involution:
+        raise ValueError("--involution applies only with --variant")
     puzzle = gen.generate(args.n, args.q, args.seed)
     with open(args.out, "w") as fh:
         grid.write_puzzle(puzzle, fh)
@@ -192,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variant", action="store_true")
-    p.add_argument("--involution", choices=("identity", "pairing"), default="identity")
+    p.add_argument("--involution", choices=("identity", "pairing"), help="with --variant (default identity)")
     p.add_argument("--out", required=True)
     p.add_argument("--bag-out", help="also write the shuffled bag")
     p.add_argument("--planted-out", help="also write the planted assembly")

@@ -9,16 +9,17 @@ Colors are drawn from a PCG64 stream in a fixed canonical order, so a
 * variant puzzles: internal rightward edges (j = 1..n, i = 1..n-1), then
   internal upward edges (j = 1..n-1, i = 1..n), each mirrored through the
   involution, then the four boundary runs (left column, right column,
-  bottom row, top row).
+  bottom row, top row), each block in the home index order
+  ``(j - 1) * n + (i - 1)`` of the pieces whose edges it colors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import MAX_Q, Direction, Puzzle
+from .grid import MAX_Q, Puzzle
 from .rng import generator
-from .variant import JigInvolution, VariantPuzzle
+from .variant import DOWN, LEFT, RIGHT, UP, JigInvolution, VariantPuzzle
 
 
 def generate(n: int, q: int, seed: int) -> Puzzle:
@@ -43,32 +44,13 @@ def generate_variant(n: int, q: int, iota: JigInvolution, seed: int) -> VariantP
         raise ValueError(f"need n >= 1 and 1 <= q <= 2**63 - 1; got n={n}, q={q}")
     iota.validate(q)
     rng = generator(seed)
-    sigma = np.zeros((n, n, 4), dtype=np.int64)
-    R, U, L, D = Direction.RIGHT, Direction.UP, Direction.LEFT, Direction.DOWN
-
-    if n > 1:
-        rights = rng.integers(1, q + 1, size=(n, n - 1))
-        for j in range(1, n + 1):
-            for i in range(1, n):
-                c = int(rights[j - 1, i - 1])
-                sigma[i - 1, j - 1, R] = c
-                sigma[i, j - 1, L] = iota(c)
-        ups = rng.integers(1, q + 1, size=(n - 1, n))
-        for j in range(1, n):
-            for i in range(1, n + 1):
-                c = int(ups[j - 1, i - 1])
-                sigma[i - 1, j - 1, U] = c
-                sigma[i - 1, j, D] = iota(c)
-
-    left_col = rng.integers(1, q + 1, size=n)
-    right_col = rng.integers(1, q + 1, size=n)
-    bottom_row = rng.integers(1, q + 1, size=n)
-    top_row = rng.integers(1, q + 1, size=n)
-    for j in range(1, n + 1):
-        sigma[0, j - 1, L] = int(left_col[j - 1])
-        sigma[n - 1, j - 1, R] = int(right_col[j - 1])
-    for i in range(1, n + 1):
-        sigma[i - 1, 0, D] = int(bottom_row[i - 1])
-        sigma[i - 1, n - 1, U] = int(top_row[i - 1])
-
+    sigma = np.zeros((n, n, 4), dtype=np.int64)  # [i - 1, j - 1, d]
+    rights = rng.integers(1, q + 1, size=(n, n - 1)).T  # [i - 1, j - 1], i < n
+    sigma[:-1, :, RIGHT], sigma[1:, :, LEFT] = rights, iota.table[rights]
+    ups = rng.integers(1, q + 1, size=(n - 1, n)).T  # [i - 1, j - 1], j < n
+    sigma[:, :-1, UP], sigma[:, 1:, DOWN] = ups, iota.table[ups]
+    sigma[0, :, LEFT] = rng.integers(1, q + 1, size=n)
+    sigma[-1, :, RIGHT] = rng.integers(1, q + 1, size=n)
+    sigma[:, 0, DOWN] = rng.integers(1, q + 1, size=n)
+    sigma[:, -1, UP] = rng.integers(1, q + 1, size=n)
     return VariantPuzzle(n, q, iota, sigma)

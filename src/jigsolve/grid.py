@@ -61,10 +61,6 @@ class Direction(IntEnum):
     def opposite(self) -> "Direction":
         return Direction((self + 2) % 4)
 
-    @property
-    def step(self) -> Coord:
-        return STEPS[self]
-
 
 #: Unit step toward each side, indexed by direction; the side opposite ``d`` is ``d ^ 2``.
 STEPS: tuple[Coord, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))

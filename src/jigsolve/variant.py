@@ -8,6 +8,11 @@ and may be placed with any number of quarter turns, except that the piece
 whose home is (1, 1) pins the global orientation: wherever it lands, its
 turn count must be zero.
 
+A piece is named by the row-major index of its home: the piece homed at
+(i, j) is ``(j - 1) * n + (i - 1)``. A :class:`RotAssembly` holds two
+(n, n) grids laid out like ``Assembly.grid``: at ``[j - 1, i - 1]`` the
+home index of the piece placed at (i, j) and its quarter turns.
+
 Variant puzzle file format (plain text): line 1 ``n q``; line 2 the
 involution as q integers (image of each color); then n^2 lines
 ``right up left down`` of oriented colors, one line per position in
@@ -17,14 +22,15 @@ canonical row-major order (row j = 1..n, i = 1..n within a row).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TextIO
 
 import numpy as np
 
-from .grid import Coord, Direction, Puzzle, positions_row_major
+from .grid import Puzzle
 from .oracle import DEFAULT_LIMIT, LimitExceededError
 
-TURNS = (0, 1, 2, 3)
+RIGHT, UP, LEFT, DOWN = range(4)
 
 
 @dataclass(frozen=True)
@@ -35,19 +41,18 @@ class JigInvolution:
 
     def __post_init__(self) -> None:
         q = len(self.images)
-        for j in range(1, q + 1):
-            img = self.images[j - 1]
+        for j, img in enumerate(self.images, 1):
             if not (1 <= img <= q):
                 raise ValueError("involution images must lie in [1..q]")
             if self.images[img - 1] != j:
                 raise ValueError("mapping is not an involution")
 
-    def __call__(self, color: int) -> int:
-        return self.images[color - 1]
-
-    @property
-    def q(self) -> int:
-        return len(self.images)
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Read-only int64 lookup: ``table[c]`` is the image of color c (entry 0 unused)."""
+        table = np.array((0, *self.images), dtype=np.int64)
+        table.flags.writeable = False
+        return table
 
     def validate(self, q: int) -> None:
         if len(self.images) != q:
@@ -108,153 +113,117 @@ class VariantPuzzle:
         if not respects_matching(self):
             raise ValueError("internal oriented edges must satisfy sigma(e) = iota(sigma(reversed e))")
 
-    def color(self, v: Coord, d: Direction) -> int:
-        return int(self.sigma[v[0] - 1, v[1] - 1, d])
+
+def _pieces(vp: VariantPuzzle) -> np.ndarray:
+    """The (n^2, 4) slot colors of every piece, by home index."""
+    return vp.sigma.transpose(1, 0, 2).reshape(-1, 4)
+
+
+def _coupled(iota: JigInvolution, colors: np.ndarray) -> bool:
+    """True iff every internal oriented edge pair of a board whose slot
+    colors are ``colors[j - 1, i - 1, d]`` is coupled through ``iota``."""
+    return bool(
+        np.array_equal(colors[:, :-1, RIGHT], iota.table[colors[:, 1:, LEFT]])
+        and np.array_equal(colors[:-1, :, UP], iota.table[colors[1:, :, DOWN]])
+    )
 
 
 def respects_matching(vp: VariantPuzzle) -> bool:
     """Check the coupling on every internal oriented edge pair."""
-    n, iota, sigma = vp.n, vp.iota, vp.sigma
-    R, U, L, D = Direction.RIGHT, Direction.UP, Direction.LEFT, Direction.DOWN
-    for j in range(1, n + 1):
-        for i in range(1, n):
-            if int(sigma[i - 1, j - 1, R]) != iota(int(sigma[i, j - 1, L])):
-                return False
-    for j in range(1, n):
-        for i in range(1, n + 1):
-            if int(sigma[i - 1, j - 1, U]) != iota(int(sigma[i - 1, j, D])):
-                return False
-    return True
+    return _coupled(vp.iota, vp.sigma.transpose(1, 0, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotAssembly:
-    """Placement of home pieces with quarter turns: location -> (home, turns)."""
+    """A placement of home pieces with quarter turns, as two read-only
+    (n, n) int64 grids: ``home[j - 1, i - 1]`` is the home index of the
+    piece at position (i, j), ``turns[j - 1, i - 1]`` its quarter turns.
+    """
 
-    n: int
-    placement: dict[Coord, tuple[Coord, int]]
+    home: np.ndarray
+    turns: np.ndarray
 
-    def slot_color(self, vp: VariantPuzzle, v: Coord, d: Direction) -> int:
-        home, turns = self.placement[v]
-        return int(vp.sigma[home[0] - 1, home[1] - 1, (d - turns) % 4])
+    def __post_init__(self) -> None:
+        for name in ("home", "turns"):
+            grid = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            grid.flags.writeable = False
+            object.__setattr__(self, name, grid)
 
 
 def identity_assembly(n: int) -> RotAssembly:
-    return RotAssembly(n, {v: (v, 0) for v in positions_row_major(n)})
-
-
-def _validate_rot_assembly(vp: VariantPuzzle, a: RotAssembly) -> None:
-    n = vp.n
-    if a.n != n or len(a.placement) != n * n:
-        raise ValueError("assembly must place a piece at every position")
-    homes = set()
-    for v, (home, turns) in a.placement.items():
-        if not (1 <= v[0] <= n and 1 <= v[1] <= n):
-            raise ValueError(f"location {v} out of range")
-        if not (1 <= home[0] <= n and 1 <= home[1] <= n):
-            raise ValueError(f"piece {home} out of range")
-        if turns not in TURNS:
-            raise ValueError("turns must be in 0..3")
-        if home in homes:
-            raise ValueError("each piece may be placed once")
-        homes.add(home)
-        if home == (1, 1) and turns != 0:
-            raise ValueError("the piece homed at (1, 1) must keep the identity rotation")
+    return RotAssembly(np.arange(n * n).reshape(n, n), np.zeros((n, n), dtype=np.int64))
 
 
 def is_feasible_rot_assembly(vp: VariantPuzzle, a: RotAssembly) -> bool:
-    """True iff every internal edge matches through the involution."""
-    _validate_rot_assembly(vp, a)
-    n, iota = vp.n, vp.iota
-    R, U, L, D = Direction.RIGHT, Direction.UP, Direction.LEFT, Direction.DOWN
-    for j in range(1, n + 1):
-        for i in range(1, n):
-            if a.slot_color(vp, (i, j), R) != iota(a.slot_color(vp, (i + 1, j), L)):
-                return False
-    for j in range(1, n):
-        for i in range(1, n + 1):
-            if a.slot_color(vp, (i, j), U) != iota(a.slot_color(vp, (i, j + 1), D)):
-                return False
-    return True
+    """True iff every internal edge matches through the involution.
+
+    Raises if the placement is not a bijection from all positions onto
+    all home indices, a turn count lies outside 0..3, or the piece homed
+    at (1, 1) is turned.
+    """
+    n, home, turns = vp.n, a.home, a.turns
+    if home.shape != (n, n) or turns.shape != (n, n):
+        raise ValueError("assembly must place a piece at every position")
+    if not np.array_equal(np.sort(home, axis=None), np.arange(n * n)):
+        raise ValueError(f"home indices must be 0..{n * n - 1}, each once")
+    if turns.min() < 0 or turns.max() > 3:
+        raise ValueError("turns must be in 0..3")
+    if turns[home == 0].any():
+        raise ValueError("the piece homed at (1, 1) must keep the identity rotation")
+    slots = (np.arange(4) - turns[..., None]) % 4
+    return _coupled(vp.iota, _pieces(vp)[home[..., None], slots])
 
 
 def brute_force_variant_solve(
     vp: VariantPuzzle,
     limit: int = DEFAULT_LIMIT,
     boundary_fixed: bool = False,
-    allow_rotations: bool = True,
 ) -> list[RotAssembly]:
     """Exhaustively enumerate feasible rotated assemblies of a tiny puzzle.
 
-    Locations are filled in canonical row-major order, pruning against the
-    already placed left and lower neighbors. ``boundary_fixed`` restricts
-    to assemblies that map internal edges to internal edges (the usual
+    Locations are filled in canonical row-major order, trying homes in
+    row-major order and turns ascending, and pruning against the already
+    placed left and lower neighbors. ``boundary_fixed`` restricts to
+    assemblies that map internal edges to internal edges (the usual
     jigsaw sub-model where boundary pieces stay on the boundary).
-    ``allow_rotations=False`` pins every turn count to zero, reducing the
-    search to the base model.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    n, q, iota, sigma = vp.n, vp.q, vp.iota, vp.sigma
-    locations = positions_row_major(n)
-    homes = positions_row_major(n)
-    num = n * n
+    n, num, table = vp.n, vp.n**2, vp.iota.table.tolist()
     results: list[RotAssembly] = []
 
-    # slot colors per home piece and turn count, precomputed
-    colors = {}
-    for home in homes:
-        base = tuple(int(sigma[home[0] - 1, home[1] - 1, d]) for d in range(4))
-        for t in TURNS:
-            colors[(home, t)] = rotate_piece(base, t)
+    # keyed 4 * home + t: the slot colors of each home turned t times and
+    # whether each of its slots faces the board; ``inner`` is that per location
+    rotated = [rotate_piece(piece, t) for piece in _pieces(vp).tolist() for t in range(4)]
+    row, col = np.divmod(np.arange(num), n)
+    inner = np.stack([col < n - 1, row < n - 1, col > 0, row > 0], axis=1).tolist()
+    inner_turned = [rotate_piece(sides, t) for sides in inner for t in range(4)]
+    chosen, used = [0] * num, [False] * num
 
-    chosen: list[tuple[Coord, int]] = [((0, 0), 0)] * num
-    used = [False] * num
-
-    def internal_ok(loc: Coord, home: Coord, t: int) -> bool:
-        # every internal edge of the location must map to an internal piece edge
-        i, j = loc
-        for d in range(4):
-            di, dj = Direction(d).step
-            if 1 <= i + di <= n and 1 <= j + dj <= n:
-                slot = (d - t) % 4
-                si, sj = Direction(slot).step
-                if not (1 <= home[0] + si <= n and 1 <= home[1] + sj <= n):
-                    return False
-        return True
-
-    def fits(idx: int, home: Coord, t: int) -> bool:
-        i, j = locations[idx]
-        cols = colors[(home, t)]
-        if i > 1:
-            left = chosen[idx - 1]
-            if colors[left][Direction.RIGHT] != iota(cols[Direction.LEFT]):
-                return False
-        if j > 1:
-            below = chosen[idx - n]
-            if colors[below][Direction.UP] != iota(cols[Direction.DOWN]):
-                return False
-        if boundary_fixed and not internal_ok(locations[idx], home, t):
+    def fits(idx: int, key: int) -> bool:
+        cols = rotated[key]
+        if idx % n and rotated[chosen[idx - 1]][RIGHT] != table[cols[LEFT]]:
             return False
-        return True
+        if idx >= n and rotated[chosen[idx - n]][UP] != table[cols[DOWN]]:
+            return False
+        # every internal edge of the location must map to an internal piece edge
+        return not boundary_fixed or all(p or not v for v, p in zip(inner[idx], inner_turned[key]))
 
     def search(idx: int) -> None:
         if idx == num:
-            results.append(RotAssembly(n, {locations[p]: chosen[p] for p in range(num)}))
+            results.append(RotAssembly(*np.divmod(np.reshape(chosen, (n, n)), 4)))
             if len(results) > limit:
                 raise LimitExceededError(limit)
             return
-        for h, home in enumerate(homes):
+        for h in range(num):
             if used[h]:
                 continue
-            turns = (0,) if (home == (1, 1) or not allow_rotations) else TURNS
-            for t in turns:
-                if fits(idx, home, t):
+            for key in range(4 * h, 4 * h + (4 if h else 1)):
+                if fits(idx, key):
                     used[h] = True
-                    chosen[idx] = (home, t)
+                    chosen[idx] = key
                     search(idx + 1)
                     used[h] = False
-        return
 
     search(0)
     return results
@@ -264,28 +233,16 @@ def to_base_puzzle(vp: VariantPuzzle) -> Puzzle:
     """Flatten an identity-involution variant onto a base puzzle."""
     if vp.iota.images != tuple(range(1, vp.q + 1)):
         raise ValueError("only an identity involution flattens to a base puzzle")
-    n = vp.n
-    R, U, L, D = Direction.RIGHT, Direction.UP, Direction.LEFT, Direction.DOWN
-    hcolors = np.zeros((n + 1, n), dtype=np.int64)
-    vcolors = np.zeros((n, n + 1), dtype=np.int64)
-    for j in range(1, n + 1):
-        hcolors[0, j - 1] = vp.color((1, j), L)
-        for i in range(1, n + 1):
-            hcolors[i, j - 1] = vp.color((i, j), R)
-    for i in range(1, n + 1):
-        vcolors[i - 1, 0] = vp.color((i, 1), D)
-        for j in range(1, n + 1):
-            vcolors[i - 1, j] = vp.color((i, j), U)
-    return Puzzle(n, vp.q, hcolors, vcolors)
+    hcolors = np.concatenate([vp.sigma[:1, :, LEFT], vp.sigma[:, :, RIGHT]], axis=0)
+    vcolors = np.concatenate([vp.sigma[:, :1, DOWN], vp.sigma[:, :, UP]], axis=1)
+    return Puzzle(vp.n, vp.q, hcolors, vcolors)
 
 
 def write_variant(vp: VariantPuzzle, out: TextIO) -> None:
     out.write(f"{vp.n} {vp.q}\n")
-    out.write(" ".join(str(c) for c in vp.iota.images))
-    out.write("\n")
-    for v in positions_row_major(vp.n):
-        out.write(" ".join(str(vp.color(v, Direction(d))) for d in range(4)))
-        out.write("\n")
+    out.write(" ".join(map(str, vp.iota.images)) + "\n")
+    for right, up, left, down in _pieces(vp).tolist():
+        out.write(f"{right} {up} {left} {down}\n")
 
 
 def read_variant(inp: TextIO) -> VariantPuzzle:
@@ -300,11 +257,8 @@ def read_variant(inp: TextIO) -> VariantPuzzle:
         raise ValueError(f"variant file: expected {need} tokens, got {len(tokens)}")
     iota = JigInvolution(tuple(int(t) for t in tokens[2 : 2 + q]))
     vals = [int(t) for t in tokens[2 + q :]]
-    sigma = np.zeros((n, n, 4), dtype=np.int64)
-    pos = 0
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            for d in range(4):
-                sigma[i - 1, j - 1, d] = vals[pos]
-                pos += 1
+    if min(vals) < 1 or max(vals) > q:  # before the int64 array, which would overflow
+        raise ValueError(f"colors must lie in [1..{q}]")
+    # one line per position, row-major, so the block reads [j - 1, i - 1, d]
+    sigma = np.array(vals, dtype=np.int64).reshape(n, n, 4).transpose(1, 0, 2)
     return VariantPuzzle(n, q, iota, sigma)

@@ -153,6 +153,34 @@ def test_puzzle_past_int64_exit_code(tmp_path, capsys, command, q, color, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_variant_with_color_past_int64_exit_code(tmp_path, capsys):
+    # q fits int64 but a color does not: rejected before the int64 array is built
+    varfile = tmp_path / "var.txt"
+    varfile.write_text("1 1\n1\n1 1 1 99999999999999999999\n")
+    assert main(["variant-oracle", "--in", str(varfile)]) == 2
+    assert capsys.readouterr().err == "error: colors must lie in [1..1]\n"
+
+
+@pytest.mark.parametrize("extra", [["--bag-out"], ["--planted-out"], ["--bag-out", "--planted-out"]])
+def test_variant_generate_rejects_bag_outputs(tmp_path, capsys, extra):
+    args = ["generate", "--n", "2", "--q", "3", "--variant", "--out", str(tmp_path / "v.txt")]
+    for flag in extra:
+        args += [flag, str(tmp_path / f"{flag[2:]}.txt")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: --bag-out and --planted-out apply to base puzzles, not --variant\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_involution_without_variant_exit_code(tmp_path, capsys):
+    out = tmp_path / "p.txt"
+    assert main(["generate", "--n", "2", "--q", "3", "--involution", "pairing", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --involution applies only with --variant\n"
+    assert not out.exists()
+    # with --variant the default involution is the identity
+    assert main(["generate", "--n", "2", "--q", "3", "--variant", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "1 2 3"
+
+
 @pytest.mark.parametrize(
     "command, limit",
     [("oracle", "-1"), ("oracle", "0"), ("variant-oracle", "0")],

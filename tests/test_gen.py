@@ -69,8 +69,9 @@ def test_variant_respects_involution_exactly():
     iota = make_involution(6, "pairing")
     vp = generate_variant(4, 6, iota, seed=3)
     assert respects_matching(vp)
-    # spot check one internal pair by hand
-    assert vp.color((1, 1), Direction.RIGHT) == iota(vp.color((2, 1), Direction.LEFT))
+    # spot check one internal pair by hand: sigma[i - 1, j - 1, d]
+    assert vp.sigma[0, 0, Direction.RIGHT] == iota.table[vp.sigma[1, 0, Direction.LEFT]]
+    assert vp.sigma[2, 1, Direction.UP] == iota.table[vp.sigma[2, 2, Direction.DOWN]]
 
 
 def test_variant_determinism():
@@ -114,12 +115,14 @@ def test_variant_boundary_edges_unconstrained():
     iota = make_involution(2, "pairing")
     vp = generate_variant(2, 2, iota, seed=1)
     # all oriented edges with a head off the board exist and are in range
-    for j in range(1, 3):
-        assert 1 <= vp.color((1, j), Direction.LEFT) <= 2
-        assert 1 <= vp.color((2, j), Direction.RIGHT) <= 2
-    for i in range(1, 3):
-        assert 1 <= vp.color((i, 1), Direction.DOWN) <= 2
-        assert 1 <= vp.color((i, 2), Direction.UP) <= 2
+    boundary = [
+        vp.sigma[0, :, Direction.LEFT],
+        vp.sigma[-1, :, Direction.RIGHT],
+        vp.sigma[:, 0, Direction.DOWN],
+        vp.sigma[:, -1, Direction.UP],
+    ]
+    for run in boundary:
+        assert run.shape == (2,) and ((1 <= run) & (run <= 2)).all()
 
 
 def test_variant_rejects_bad_involution():

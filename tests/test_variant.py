@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -22,22 +24,26 @@ from jigsolve.variant import (
     to_base_puzzle,
     write_variant,
 )
-from jigsolve.grid import PieceBag, piece_at, positions_row_major
+from jigsolve.grid import PieceBag, piece_colors
+
+
+def _key(a: RotAssembly) -> tuple:
+    return a.home.tobytes(), a.turns.tobytes()
 
 
 def test_involution_identity():
     iota = make_involution(5, "identity")
-    assert all(iota(j) == j for j in range(1, 6))
+    assert iota.table[1:].tolist() == [1, 2, 3, 4, 5]
 
 
 def test_involution_pairing_even():
     iota = make_involution(4, "pairing")
-    assert [iota(j) for j in (1, 2, 3, 4)] == [2, 1, 4, 3]
+    assert iota.table[1:].tolist() == [2, 1, 4, 3]
 
 
 def test_involution_pairing_odd_fixed_point():
     iota = make_involution(5, "pairing")
-    fixed = [j for j in range(1, 6) if iota(j) == j]
+    fixed = [j for j in range(1, 6) if iota.table[j] == j]
     assert fixed == [5]
 
 
@@ -45,7 +51,7 @@ def test_involution_pairing_odd_fixed_point():
 @settings(max_examples=40, deadline=None)
 def test_involution_self_inverse(q, kind):
     iota = make_involution(q, kind)
-    assert all(iota(iota(j)) == j for j in range(1, q + 1))
+    assert iota.table[iota.table].tolist() == list(range(q + 1))
 
 
 def test_involution_validation():
@@ -88,35 +94,49 @@ def test_identity_assembly_always_feasible():
 
 
 def test_global_rotation_rejected_as_malformed():
-    # rotating the whole board satisfies colors but breaks the rule that
-    # the piece homed at (1, 1) keeps the identity rotation
+    # a quarter turn of the whole board: the piece homed at (x, y) moves to
+    # (3 - y, x), turned once; homes are row-major indices, (1, 1) -> 0,
+    # (2, 1) -> 1, (1, 2) -> 2, (2, 2) -> 3
     vp = generate_variant(2, 3, make_involution(3, "identity"), seed=4)
-    rotated = RotAssembly(
-        2,
-        {
-            (1, 1): ((2, 1), 1),
-            (1, 2): ((1, 1), 1),
-            (2, 2): ((1, 2), 1),
-            (2, 1): ((2, 2), 1),
-        },
-    )
-    with pytest.raises(ValueError):
+    rotated = RotAssembly([[2, 0], [3, 1]], np.ones((2, 2), dtype=np.int64))
+    # its colors agree on every internal edge ...
+    slots = [[rotate_piece(tuple(vp.sigma[h % 2, h // 2]), 1) for h in row] for row in rotated.home.tolist()]
+    R, U, L, D = Direction.RIGHT, Direction.UP, Direction.LEFT, Direction.DOWN
+    for row in slots:
+        assert row[0][R] == row[1][L]
+    for lower, upper in zip(slots[0], slots[1]):
+        assert lower[U] == upper[D]
+    # ... but the piece homed at (1, 1) is turned
+    with pytest.raises(ValueError, match=r"homed at \(1, 1\) must keep the identity rotation"):
         is_feasible_rot_assembly(vp, rotated)
+
+
+@pytest.mark.parametrize(
+    "home, turns, message",
+    [
+        ([[0, 1, 2, 3]], [[0, 0, 0, 0]], "place a piece at every position"),
+        ([[0, 1], [2, 3]], [[0, 0, 0]], "place a piece at every position"),
+        ([[0, 1], [2, 4]], np.zeros((2, 2)), "home indices must be 0..3, each once"),
+        ([[0, 1], [2, -1]], np.zeros((2, 2)), "home indices must be 0..3, each once"),
+        ([[0, 1], [1, 3]], np.zeros((2, 2)), "home indices must be 0..3, each once"),
+        ([[0, 1], [2, 3]], [[0, 4], [0, 0]], "turns must be in 0..3"),
+        ([[0, 1], [2, 3]], [[0, -1], [0, 0]], "turns must be in 0..3"),
+    ],
+    ids=["shape", "turns-shape", "home-high", "home-low", "repeated", "turns-high", "turns-low"],
+)
+def test_malformed_rot_assembly_rejected(home, turns, message):
+    vp = generate_variant(2, 3, make_involution(3, "identity"), seed=4)
+    with pytest.raises(ValueError, match=message):
+        is_feasible_rot_assembly(vp, RotAssembly(home, turns))
 
 
 def test_random_rigid_permutation_infeasible_at_large_q():
     bad = 0
     for seed in range(50):
         vp = generate_variant(2, 100, make_involution(100, "pairing"), seed=seed)
-        scrambled = RotAssembly(
-            2,
-            {
-                (1, 1): ((1, 2), 3),
-                (1, 2): ((2, 1), 2),
-                (2, 1): ((2, 2), 1),
-                (2, 2): ((1, 1), 0),
-            },
-        )
+        # (1, 1) <- home (1, 2) turned 3, (2, 1) <- (2, 2) turned 1,
+        # (1, 2) <- (2, 1) turned 2, (2, 2) <- (1, 1) unturned
+        scrambled = RotAssembly([[2, 3], [1, 0]], [[3, 1], [2, 0]])
         if not is_feasible_rot_assembly(vp, scrambled):
             bad += 1
     assert bad >= 48
@@ -126,14 +146,14 @@ def test_variant_solve_n1():
     vp = generate_variant(1, 3, make_involution(3, "identity"), seed=0)
     assemblies = brute_force_variant_solve(vp)
     assert len(assemblies) == 1  # orientation pinning kills the rotations
-    assert assemblies[0].placement == {(1, 1): ((1, 1), 0)}
+    assert assemblies[0].home.tolist() == [[0]] and assemblies[0].turns.tolist() == [[0]]
 
 
 def test_variant_solve_n2_q1_count():
     vp = generate_variant(2, 1, make_involution(1, "identity"), seed=0)
     assemblies = brute_force_variant_solve(vp, limit=2000)
     assert len(assemblies) == 1536  # 4! placements x 4^3 free rotations
-    keys = {tuple(sorted(a.placement.items())) for a in assemblies}
+    keys = {_key(a) for a in assemblies}
     assert len(keys) == 1536
 
 
@@ -156,38 +176,30 @@ def test_identity_always_among_solutions():
     for seed in range(10):
         vp = generate_variant(2, 3, make_involution(3, "pairing"), seed=seed)
         assemblies = brute_force_variant_solve(vp, limit=10**5)
-        identity_key = tuple(sorted(identity_assembly(2).placement.items()))
-        assert identity_key in {tuple(sorted(a.placement.items())) for a in assemblies}
+        assert _key(identity_assembly(2)) in {_key(a) for a in assemblies}
 
 
 def test_boundary_fixed_subset():
     for seed in range(5):
         vp = generate_variant(2, 2, make_involution(2, "identity"), seed=seed)
-        unrestricted = {
-            tuple(sorted(a.placement.items()))
-            for a in brute_force_variant_solve(vp, limit=10**5)
-        }
+        unrestricted = brute_force_variant_solve(vp, limit=10**5)
         restricted = brute_force_variant_solve(vp, limit=10**5, boundary_fixed=True)
-        assert {tuple(sorted(a.placement.items())) for a in restricted} <= unrestricted
-        for a in restricted:
+        assert {_key(a) for a in restricted} <= {_key(a) for a in unrestricted}
+        # the search's rotate_piece path agrees with the vectorised slot gather
+        for a in unrestricted:
             assert is_feasible_rot_assembly(vp, a)
 
 
 def test_identity_involution_matches_base_model():
-    # rotations off + identity involution == the base-model oracle
+    # identity involution, zero turns everywhere == the base-model oracle;
+    # the base bag lists the pieces by home index, so ids are home indices
     for seed in range(6):
         vp = generate_variant(2, 2, make_involution(2, "identity"), seed=seed)
-        base = to_base_puzzle(vp)
-        order = positions_row_major(2)
-        bag = PieceBag(2, 2, tuple(piece_at(base, v) for v in order))
-        base_assemblies = {
-            tuple(sorted((v, pid) for v, pid in a.placement.items()))
-            for a in enumerate_feasible_assemblies(bag, limit=10**5)
+        bag = PieceBag(2, 2, piece_colors(to_base_puzzle(vp)))
+        base_assemblies = {a.grid.tobytes() for a in enumerate_feasible_assemblies(bag, limit=10**5)}
+        variant_assemblies = {
+            a.home.tobytes() for a in brute_force_variant_solve(vp, limit=10**5) if not a.turns.any()
         }
-        variant_assemblies = set()
-        for a in brute_force_variant_solve(vp, limit=10**5, allow_rotations=False):
-            key = tuple(sorted((v, order.index(home)) for v, (home, _) in a.placement.items()))
-            variant_assemblies.add(key)
         assert variant_assemblies == base_assemblies
 
 
@@ -216,3 +228,32 @@ def test_variant_puzzle_validates_coupling():
     with pytest.raises(ValueError):
         VariantPuzzle(2, 2, vp.iota, sigma)
     assert respects_matching(vp)
+
+
+#: SHA-256 of ``write_variant`` bytes, and of the ordered solve results as
+#: JSON ``[[home row-major, turns row-major], ...]``, fixed by the
+#: per-position implementation these arrays replaced.
+VARIANT_FILE_SHA256 = {
+    (1, 3, "identity", 0): "c37481729172f53c69a776c87848f8719bc94855ae244bff53d4c6f913e862eb",
+    (2, 4, "pairing", 1): "bd53e38111093fd375d1014dba26b49a2886517627186c058159c18a12ba6120",
+    (3, 7, "pairing", 2): "6306df6ca736bbb4a5975b67b5a6dc254eec7ddf8fd8d31c13011074158e0751",
+    (6, 100, "identity", 3): "bf72d729e9805d2305a0ae82daa6d63793d9a7507099084760aa135e36dea091",
+    (6, 2, "pairing", 0): "dcb968f473c3dcde707d857105b636e55b0b1c9d29ba14c81c6d9a25ed924a74",
+}
+VARIANT_SOLVE_SHA256 = {
+    (2, 2, "identity", 1, False): (80, "5ec11c202b5a2d21228da591b14ef6a781bae6da1970c688cbe8de42f466d7f5"),
+    (2, 1, "identity", 0, True): (6, "5ed09cb41a06e9f084ffa6ab6701cc7647721b931a8c7636d4376774a6457bf1"),
+}
+
+
+def test_variant_outputs_pinned():
+    for (n, q, kind, seed), digest in VARIANT_FILE_SHA256.items():
+        buf = io.StringIO()
+        write_variant(generate_variant(n, q, make_involution(q, kind), seed), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, (n, q, kind, seed)
+    for (n, q, kind, seed, boundary_fixed), (count, digest) in VARIANT_SOLVE_SHA256.items():
+        vp = generate_variant(n, q, make_involution(q, kind), seed)
+        results = brute_force_variant_solve(vp, limit=10**5, boundary_fixed=boundary_fixed)
+        listed = [[a.home.ravel().tolist(), a.turns.ravel().tolist()] for a in results]
+        assert len(listed) == count
+        assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == digest, (n, q, kind, seed)
