@@ -9,6 +9,7 @@ when a complete placement passes the independent feasibility check.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,8 +226,11 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
 
     ``partial`` holds piece ids like :attr:`Assembly.grid`, with -1 for
     every open cell; the placed ids must be distinct and lie in the
-    central square. Two greedy rules alternate to a fixed point,
-    innermost open cells first (so shells emerge in order):
+    central square. The unplaced pieces are indexed by color alone: each
+    color maps to the ascending ids of the pieces holding it, an id once
+    per distinct color, and placed ids are skipped through a free flag.
+    Two greedy rules alternate to a fixed point, innermost open cells
+    first (so shells emerge in order):
 
     * fill: an open cell adjacent to at least two placed pieces takes the
       unique remaining piece matching all its specified free edges; cells
@@ -235,8 +239,8 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
     * seed: when no fill makes progress, the free edges of placed pieces
       are scanned (innermost cell first, sides in right/up/left/down
       order) for a color occurring exactly once among all jigs of the
-      remaining pieces; the piece holding it is placed if it matches
-      every free edge of the cell.
+      remaining pieces: one remaining piece holds it, on one side. That
+      piece is placed if it matches every free edge of the cell.
 
     Raises :class:`ShellStuck` when neither rule applies and open cells
     remain.
@@ -257,7 +261,11 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
     colors = bag.colors.tolist()
     unplaced = np.ones(n * n, dtype=bool)
     unplaced[placed] = False
-    pool = _Pool(colors, bag.q, np.flatnonzero(unplaced).tolist())
+    free = bytearray(unplaced)
+    holders: dict[int, list[int]] = {}
+    for pid in np.flatnonzero(unplaced).tolist():
+        for c in set(colors[pid]):
+            holders.setdefault(c, []).append(pid)
     # the board inside a border of open cells, flat: place[j * (n + 2) + i]
     # holds position (i, j), and known[...] counts its placed neighbors
     width = n + 2
@@ -280,9 +288,17 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
         shell, side = ring_of[at]
         return ShellStuck(max(shell, 0), _SIDES[side], reason)
 
+    def wanted_at(at: int) -> list[tuple[int, int]]:
+        # a piece placed at ``at`` carries ``color`` on ``side`` for each
+        # placed neighbor, which shows that color on its side ``side ^ 2``
+        return [(d, colors[pid][d ^ 2]) for d, pid in enumerate([place[at + off] for off in offsets]) if pid >= 0]
+
+    def matching(pids: Sequence[int], wanted: list[tuple[int, int]]) -> list[int]:
+        return [pid for pid in pids if free[pid] and all(colors[pid][d] == c for d, c in wanted)]
+
     def put(at: int, pid: int) -> None:
         place[at] = pid
-        pool.take(pid)
+        free[pid] = 0
         for off in offsets:
             known[at + off] += 1
 
@@ -293,7 +309,8 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
             if known[at] < 2:
                 still_open.append(at)  # fewer than two free edges specified
                 continue
-            matches = pool.matches(_free_edges(colors, place, at, offsets))
+            wanted = wanted_at(at)
+            matches = matching(holders.get(wanted[0][1], ()), wanted)
             if len(matches) == 0:
                 raise stuck(at, "no matching piece")
             if len(matches) > 1:
@@ -305,100 +322,23 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
         if progress or not open_cells:
             continue
 
-        seeded = _seed_any(colors, place, offsets, pool, open_cells)
+        seeded = None
+        for at in open_cells:
+            wanted = wanted_at(at)
+            for _, color in wanted:
+                lone = [pid for pid in holders.get(color, ()) if free[pid]]
+                if len(lone) == 1 and colors[lone[0]].count(color) == 1 and matching(lone, wanted):
+                    seeded = at, lone[0]
+                    break
+            if seeded:
+                break
         if seeded is None:
             raise stuck(open_cells[0], "no unique fill or seed")
         put(*seeded)
         open_cells.remove(seeded[0])
 
-    assert not any(pool.free), "every piece must be placed"
+    assert not any(free), "every piece must be placed"
     return Assembly(np.reshape(place, (width, width))[1:-1, 1:-1])
-
-
-def _free_edges(colors: list, place: list[int], at: int, offsets: list[int]) -> list[tuple[int, int]]:
-    """``(side, color)`` for each placed neighbor of the cell ``place[at]``,
-    whose neighbor across side ``d`` is ``place[at + offsets[d]]``.
-
-    A piece placed in the cell must carry ``color`` on ``side``: the
-    neighbor across side ``d`` shows it on its side ``d ^ 2``.
-    """
-    out = []
-    for d, off in enumerate(offsets):
-        pid = place[at + off]
-        if pid >= 0:
-            out.append((d, colors[pid][d ^ 2]))
-    return out
-
-
-class _Pool:
-    """The unplaced pieces, indexed by side color and counted by jig color.
-
-    ``by_side[side * (q + 1) + color]`` lists, ascending, the ids of the
-    pool's pieces with ``color`` on ``side``; placed ids stay listed and
-    are skipped through ``free``. ``jigs[color]`` counts the jigs of that
-    color over the unplaced pieces.
-    """
-
-    def __init__(self, colors: list, q: int, ids: list[int]):
-        """``colors[pid]`` lists the four colors of piece ``pid``; ``ids``, ascending, are the pool's."""
-        self.colors = colors
-        self.stride = q + 1
-        self.free = bytearray(len(colors))
-        self.by_side: dict[int, list[int]] = {}
-        self.jigs: dict[int, int] = {}
-        for pid in ids:
-            self.free[pid] = 1
-            for d, c in enumerate(colors[pid]):
-                self.by_side.setdefault(d * self.stride + c, []).append(pid)
-                self.jigs[c] = self.jigs.get(c, 0) + 1
-
-    def take(self, pid: int) -> None:
-        self.free[pid] = 0
-        for c in self.colors[pid]:
-            self.jigs[c] -= 1
-
-    def matches(self, wanted: list[tuple[int, int]]) -> list[int]:
-        """Unplaced ids, ascending, carrying every ``(side, color)`` of ``wanted``."""
-        d0, c0 = wanted[0]
-        colors, free = self.colors, self.free
-        return [
-            pid
-            for pid in self.by_side.get(d0 * self.stride + c0, ())
-            if free[pid] and all(colors[pid][d] == c for d, c in wanted)
-        ]
-
-    def lone_holder(self, color: int) -> int | None:
-        """The unplaced piece holding ``color``, if exactly one jig has it."""
-        if self.jigs.get(color) != 1:
-            return None
-        for d in range(4):
-            for pid in self.by_side.get(d * self.stride + color, ()):
-                if self.free[pid]:
-                    return pid
-        raise AssertionError("a counted jig must be indexed")
-
-
-def _seed_any(
-    colors: list,
-    place: list[int],
-    offsets: list[int],
-    pool: _Pool,
-    open_cells: list[int],
-) -> tuple[int, int] | None:
-    """An open cell and the piece to seed it with, from a free edge with a unique color.
-
-    Scans open cells in order, and each cell's free edges in side order.
-    A color counted exactly once over all jigs of the remaining pieces
-    identifies one piece; it is chosen if it matches every free edge of
-    the cell (so in particular the lone occurrence faces the edge).
-    """
-    for at in open_cells:
-        wanted = _free_edges(colors, place, at, offsets)
-        for _, color in wanted:
-            pid = pool.lone_holder(color)
-            if pid is not None and all(colors[pid][d] == c for d, c in wanted):
-                return at, pid
-    return None
 
 
 def solve(

@@ -20,6 +20,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.variant:
         if args.bag_out or args.planted_out:
             raise ValueError("--bag-out and --planted-out apply to base puzzles, not --variant")
+        if args.bag_seed is not None:
+            raise ValueError("--bag-seed applies to base puzzles, not --variant")
         iota = variant.make_involution(args.q, args.involution or "identity")
         vp = gen.generate_variant(args.n, args.q, iota, args.seed)
         with open(args.out, "w") as fh:
@@ -28,12 +30,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         return 0
     if args.involution:
         raise ValueError("--involution applies only with --variant")
+    if args.bag_seed is not None and not (args.bag_out or args.planted_out):
+        raise ValueError("--bag-seed applies only with --bag-out or --planted-out")
     puzzle = gen.generate(args.n, args.q, args.seed)
     with open(args.out, "w") as fh:
         grid.write_puzzle(puzzle, fh)
     print(f"wrote puzzle n={args.n} q={args.q} to {args.out}")
     if args.bag_out or args.planted_out:
-        bag, planted = grid.disassemble(puzzle, args.bag_seed)
+        bag, planted = grid.disassemble(puzzle, args.bag_seed or 0)
         if args.bag_out:
             with open(args.bag_out, "w") as fh:
                 grid.write_bag(bag, fh)
@@ -200,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--bag-out", help="also write the shuffled bag")
     p.add_argument("--planted-out", help="also write the planted assembly")
-    p.add_argument("--bag-seed", type=int, default=0, help="seed for the shuffle")
+    p.add_argument("--bag-seed", type=int, help="seed for the shuffle (default 0)")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("solve", help="reconstruct a bag")

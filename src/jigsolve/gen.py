@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import MAX_Q, Puzzle
+from .grid import DOWN, LEFT, RIGHT, UP, MAX_Q, Puzzle
 from .rng import generator
-from .variant import DOWN, LEFT, RIGHT, UP, JigInvolution, VariantPuzzle
+from .variant import JigInvolution, VariantPuzzle
 
 
 def generate(n: int, q: int, seed: int) -> Puzzle:

@@ -62,6 +62,9 @@ class Direction(IntEnum):
         return Direction((self + 2) % 4)
 
 
+#: Side indices into a piece's four colors: the values of :class:`Direction` as plain ints.
+RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
+
 #: Unit step toward each side, indexed by direction; the side opposite ``d`` is ``d ^ 2``.
 STEPS: tuple[Coord, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -236,7 +239,6 @@ def is_feasible(bag: PieceBag, assembly: Assembly) -> bool:
     if grid.min() < 0 or grid.max() >= n * n or np.bincount(grid.ravel(), minlength=n * n).max() > 1:
         raise ValueError("placement must be a bijection onto piece ids")
     colors = bag.colors[grid]  # [j - 1, i - 1, side]
-    RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
     return bool(
         np.array_equal(colors[:, :-1, RIGHT], colors[:, 1:, LEFT])
         and np.array_equal(colors[:-1, :, UP], colors[1:, :, DOWN])

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Assembly, PieceBag, Puzzle, piece_colors
+from .grid import DOWN, LEFT, RIGHT, UP, Assembly, PieceBag, Puzzle, piece_colors
 from .windows import WindowAssembly
 
 #: Default cap on enumerated assemblies.
@@ -47,7 +47,6 @@ def enumerate_feasible_assemblies(bag: PieceBag, limit: int = DEFAULT_LIMIT) -> 
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
     n = bag.n
     colors = bag.colors.tolist()
     num = n * n
@@ -91,7 +90,6 @@ def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessR
     assemblies = enumerate_feasible_assemblies(bag, limit)
     # colors by position, [j - 1, i - 1, side]; an internal edge shows as the
     # right side of a piece not in the last column or the up side of one not in the top row
-    RIGHT, UP = 0, 1
     planted = bag.colors.reshape(n, n, 4)
     unique_edge = all(
         np.array_equal(placed[:, :-1, RIGHT], planted[:, :-1, RIGHT])
@@ -116,7 +114,6 @@ def brute_force_window_rows(bag: PieceBag, center: int, k: int = 1) -> np.ndarra
     ascending order. The cost is O(partial windows x pieces) per cell,
     so this is for tiny n only.
     """
-    RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
     # each partial window lies in a frame with a blank row above it and a
     # blank column left of it; the blank piece's colors are 0, which the
     # comparisons let any color match

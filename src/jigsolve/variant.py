@@ -27,10 +27,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .grid import Puzzle
+from .grid import DOWN, LEFT, RIGHT, UP, Puzzle
 from .oracle import DEFAULT_LIMIT, LimitExceededError
-
-RIGHT, UP, LEFT, DOWN = range(4)
 
 
 @dataclass(frozen=True)

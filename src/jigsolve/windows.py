@@ -40,7 +40,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .grid import PieceBag
+from .grid import DOWN, LEFT, RIGHT, UP, PieceBag
 
 #: Default cap on candidate rows materialised by one enumeration.
 DEFAULT_BUDGET = 10**7
@@ -118,7 +118,6 @@ def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     if budget <= 0:
         raise ValueError("budget must be positive")
 
-    RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
     npieces = len(bag.colors)
     side = 2 * k + 1
 

@@ -414,7 +414,6 @@ def test_component_offsets_match_planted_translation():
 
 def test_property_iv_style_unique_fills():
     # on a clean accepted puzzle the fill rule never sees two matches
-    from jigsolve.assemble import _free_edges, _Pool
     from jigsolve.typicality import check_typical
     from fractions import Fraction
 
@@ -422,22 +421,25 @@ def test_property_iv_style_unique_fills():
     p = generate(n, 10**6, seed=12)
     assert check_typical(p, 1, c_prime=Fraction(1)).typical
     bag, planted = disassemble(p, 40)
+    colors = bag.colors.tolist()
     # place[j][i] holds position (i, j), inside a border of open cells
     place = np.full((n + 2, n + 2), -1)
     place[2:n, 2:n] = planted.grid[1 : n - 1, 1 : n - 1]
     for i, j in ((4, 1), (n, 4), (4, n), (1, 4)):  # one seed per side
         place[j, i] = planted.placement[(i, j)]
-    pool = _Pool(bag.colors.tolist(), bag.q, sorted(set(range(n * n)) - set(place.ravel().tolist())))
+    unplaced = sorted(set(range(n * n)) - set(place.ravel().tolist()))
     place = place.ravel().tolist()  # place[j * (n + 2) + i]
     offsets = [1, n + 2, -1, -(n + 2)]  # right, up, left, down
     open_cells = [(i, j) for i, j in planted.placement if place[j * (n + 2) + i] < 0]
     while open_cells:
         placed = None
         for cell in open_cells:
-            wanted = _free_edges(bag.colors.tolist(), place, cell[1] * (n + 2) + cell[0], offsets)
+            at = cell[1] * (n + 2) + cell[0]
+            # the neighbor across side d shows the wanted color on its side d ^ 2
+            wanted = [(d, colors[place[at + off]][d ^ 2]) for d, off in enumerate(offsets) if place[at + off] >= 0]
             if len(wanted) < 2:
                 continue
-            matches = pool.matches(wanted)
+            matches = [pid for pid in unplaced if all(colors[pid][d] == c for d, c in wanted)]
             assert len(matches) == 1, (cell, matches)
             placed = (cell, matches[0])
             break
@@ -446,7 +448,7 @@ def test_property_iv_style_unique_fills():
             break
         cell, pid = placed
         place[cell[1] * (n + 2) + cell[0]] = pid
-        pool.take(pid)
+        unplaced.remove(pid)
         open_cells.remove(cell)
         assert pid == planted.placement[cell]
 
@@ -460,3 +462,63 @@ def test_solve_determinism():
     assert (a.solved, a.failure, a.guesses_tried) == (b.solved, b.failure, b.guesses_tried)
     if a.solved:
         assert a.assembly.placement == b.assembly.placement
+
+
+#: SHA-256 of every solve and every ShellStuck raised inside it over the
+#: cases of :func:`_shell_growth_records`, hashed before the unplaced pieces
+#: were indexed by color alone.
+SHELL_GROWTH_SHA256 = "e1274cdbf5fcf503da84dfad55244ebc0be2d924008e902e855a669583e3d6ac"
+
+
+def _shell_growth_records(monkeypatch) -> list[str]:
+    """One JSON line per solve and per ShellStuck, in the order they happen.
+
+    Bags are ``disassemble(generate(n, q, s), s + 1)`` for n in
+    {4, 5, 6, 8, 12, 16}, q = ceil(n^alpha) over six alphas, s in {0, 1};
+    each k in {1, 2, 3} with 2k < n whose windows fit a budget of 10^6 is
+    solved with the claims of 0, 1 and 3 random pieces cleared.
+    """
+    import json
+
+    from jigsolve.windows import BudgetExceededError, Candidates, candidate_neighborhoods
+
+    records = []
+    grow = assemble.assemble_shells
+
+    def traced(bag, partial, k):
+        try:
+            return grow(bag, partial, k)
+        except ShellStuck as exc:
+            records.append(json.dumps(["stuck", exc.shell, exc.side, str(exc)]))
+            raise
+
+    monkeypatch.setattr(assemble, "assemble_shells", traced)
+    for n in (4, 5, 6, 8, 12, 16):
+        for alpha in (1.1, 1.3, 1.5, 1.7, 2.0, 2.5):
+            q = math.ceil(n**alpha)
+            for s in (0, 1):
+                bag, _ = disassemble(generate(n, q, s), s + 1)
+                for k in (k for k in (1, 2, 3) if 2 * k < n):
+                    try:
+                        cands = candidate_neighborhoods(bag, k, 10**6)
+                    except BudgetExceededError:
+                        continue
+                    for clear in (0, 1, 3):
+                        stable, windows = cands.stable.copy(), cands.windows.copy()
+                        gone = np.random.default_rng((n, q, s, k)).choice(n * n, size=clear, replace=False)
+                        stable[gone], windows[gone] = -1, 0
+                        out = solve(bag, n, k, candidates=Candidates(stable, windows))
+                        grid = None if out.assembly is None else out.assembly.grid.tolist()
+                        records.append(json.dumps(["solve", n, q, s, k, clear, grid, out.failure, out.guesses_tried]))
+    return records
+
+
+def test_shell_growth_pinned(monkeypatch):
+    # the seed rule counts jigs: a lone remaining piece holding a color on
+    # two sides does not seed, and this hash changes if it does
+    import hashlib
+
+    records = _shell_growth_records(monkeypatch)
+    assert sum(r.startswith('["solve"') for r in records) == 456
+    assert sum(r.startswith('["stuck"') for r in records) == 273
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == SHELL_GROWTH_SHA256

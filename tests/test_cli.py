@@ -171,6 +171,32 @@ def test_variant_generate_rejects_bag_outputs(tmp_path, capsys, extra):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--variant"], "--bag-seed applies to base puzzles, not --variant"),
+        ([], "--bag-seed applies only with --bag-out or --planted-out"),
+    ],
+    ids=["variant", "no-bag-output"],
+)
+@pytest.mark.parametrize("seed", ["7", "0"])
+def test_bag_seed_without_a_bag_output_exit_code(tmp_path, capsys, extra, message, seed):
+    # no output uses the shuffle, so a given seed would be ignored
+    args = ["generate", "--n", "2", "--q", "3", "--out", str(tmp_path / "p.txt"), "--bag-seed", seed]
+    assert main(args + extra) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bag_seed_defaults_to_zero(tmp_path):
+    base = ["generate", "--n", "3", "--q", "5", "--seed", "1", "--out", str(tmp_path / "p.txt")]
+    assert main(base + ["--bag-out", str(tmp_path / "default.txt")]) == 0
+    assert main(base + ["--bag-out", str(tmp_path / "zero.txt"), "--bag-seed", "0"]) == 0
+    assert main(base + ["--bag-out", str(tmp_path / "seven.txt"), "--bag-seed", "7"]) == 0
+    assert (tmp_path / "default.txt").read_text() == (tmp_path / "zero.txt").read_text()
+    assert (tmp_path / "default.txt").read_text() != (tmp_path / "seven.txt").read_text()
+
+
 def test_involution_without_variant_exit_code(tmp_path, capsys):
     out = tmp_path / "p.txt"
     assert main(["generate", "--n", "2", "--q", "3", "--involution", "pairing", "--out", str(out)]) == 2
