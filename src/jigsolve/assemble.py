@@ -258,14 +258,9 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
     if (partial < -1).any() or placed.max() >= n * n or np.bincount(placed).max() > 1:
         raise ValueError(f"placed pieces must be distinct ids in [0..{n * n - 1}]")
 
-    colors = bag.colors.tolist()
     unplaced = np.ones(n * n, dtype=bool)
     unplaced[placed] = False
     free = bytearray(unplaced)
-    holders: dict[int, list[int]] = {}
-    for pid in np.flatnonzero(unplaced).tolist():
-        for c in set(colors[pid]):
-            holders.setdefault(c, []).append(pid)
     # the board inside a border of open cells, flat: place[j * (n + 2) + i]
     # holds position (i, j), and known[...] counts its placed neighbors
     width = n + 2
@@ -275,6 +270,15 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
     filled = (place >= 0).astype(np.int64)
     known = np.zeros_like(place)
     known[1:-1, 1:-1] = filled[1:-1, 2:] + filled[2:, 1:-1] + filled[1:-1, :-2] + filled[:-2, 1:-1]
+    # the colors read: the unplaced pieces' and those of placed pieces with
+    # a neighbor cell open or off the board
+    free_ids = np.flatnonzero(unplaced)
+    read = np.concatenate((free_ids, partial[held & (known[1:-1, 1:-1] < 4)]))
+    colors = dict(zip(read.tolist(), bag.colors[read].tolist()))
+    holders: dict[int, list[int]] = {}
+    for pid in free_ids.tolist():
+        for c in set(colors[pid]):
+            holders.setdefault(c, []).append(pid)
     known = known.ravel().tolist()
     place = place.ravel().tolist()
 

@@ -186,11 +186,17 @@ def _crowded_pair(sides: np.ndarray, limit: int) -> tuple[tuple[int, int], int] 
     starts = np.ones(colors.shape, dtype=bool)
     starts[:, 1:] = colors[:, 1:] != colors[:, :-1]
     first = starts[:, a] & (starts[:, b] | (b == a + 1))
-    ranked = np.sort(keys[first])
-    runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    counts = np.diff(runs, append=len(ranked))
-    over = np.flatnonzero(counts > limit)
-    if not len(over):
-        return None
-    e = int(np.flatnonzero(keys.ravel() == ranked[runs[over[0]]])[0])
-    return (int(colors[:, a].flat[e]), int(colors[:, b].flat[e])), int(counts[over[0]])
+    held = keys[first]
+    if limit == 0:  # every held pair is crowded, so the smallest one is the witness
+        key = held.min()
+        count = int(np.count_nonzero(held == key))
+    else:
+        ranked = np.sort(held)
+        runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        counts = np.diff(runs, append=len(ranked))
+        over = np.flatnonzero(counts > limit)
+        if not len(over):
+            return None
+        key, count = ranked[runs[over[0]]], int(counts[over[0]])
+    e = int(np.flatnonzero(keys.ravel() == key)[0])
+    return (int(colors[:, a].flat[e]), int(colors[:, b].flat[e])), count

@@ -1,29 +1,50 @@
-"""Feasible window enumeration over a piece bag through one color index.
+"""Feasible window enumeration over a piece bag, by dominoes.
 
 A window is a (2k+1)-by-(2k+1) block of distinct pieces whose internal
-edges all match. Colors are ranked densely, with 0 first, and the bag is
-indexed once, in one sorted array of keys ``up * s + left`` (s the number
-of ranks) in which color 0 means "unconstrained": every piece is filed
-under (up, left), (0, left), (up, 0) and (0, 0). The ids filed under one
-key form a run in increasing order. Each distinct key is kept once with
-its run, and a key above every query closes the list with an empty run,
-so a lookup is one binary search and one equality test.
+edges all match. Colors are ranked densely, and three indexes are built
+once per enumeration. Each is one sorted array of keys ``a * s + b`` of
+two ranks (s the number of ranks); each distinct key is kept once with
+the run of entries filed under it, and a key above every query closes
+the list with an empty run, so a lookup is one binary search and one
+equality test.
 
-Cells are placed in growing L-shells from the top-left corner: shell s
-is its right column top-down, then its bottom row left to right. Every
-cell then finds its left and upper neighbors already placed, and in each
-shell past the corner all but two cells are pinned by two colors. All
-partial windows grow by one cell at a time, breadth first in numpy, each
-looking its candidates up by the down color above the cell and the right
-color left of it; a neighbor outside the window reads as a sentinel
-column of color 0. Each cell sorts its keys, searches them in increasing
-order and scatters the runs back, which is several times faster than
-searching them as they come. Parents keep their order and candidates
-come in increasing piece id, so the rows are lexicographic in cell
-order. The budget counts candidate rows, checked before each cell's are
-allocated. A cell with more candidate rows than ``_CHUNK_ROWS`` is
-expanded a run of parents at a time, which bounds its index temporaries
-and leaves the rows as they are.
+* singles: each piece under its (up, left) colors, ids ascending;
+* horizontal dominoes: each pair (p, r) of distinct pieces with
+  p.right = r.left, under (p.up, r.up);
+* vertical dominoes: each pair of distinct pieces p above r with
+  p.down = r.up, under (p.left, r.left).
+
+The dominoes are built from per-color runs of piece ids and come in
+(p, r) order within a key.
+
+Cells (column, row), row 0 on top, are placed in growing L-shells from
+the top-left corner: shell s is its right column top-down, then its
+bottom row left to right. The first step places cells (0,0) and (1,0)
+as every horizontal domino. Cells (0,s) and (1,s) take one horizontal
+domino, pinned by the down colors of the two cells above them, and for
+s >= 2 cells (s,0) and (s,1) take one vertical domino, pinned by the
+right colors of the two cells left of them. Every other cell finds its
+left and upper neighbors placed and takes one single, pinned by two
+colors. A cell of the top row or the left column is thus never looked
+up by one color alone, which would multiply the rows by about N/q only
+for the next cell to divide them again.
+
+All partial windows grow one step at a time, breadth first in numpy,
+held as one array per cell. Each step sorts its keys, searches them in
+increasing order and scatters the runs back, which is several times
+faster than searching them as they come. Parents keep their order and
+entries keep theirs, so the rows are lexicographic in cell order: the
+same rows, in the same order, as placing one cell at a time. The budget
+counts candidate rows before they are allocated. It first counts both
+domino tables, each piece paired with every piece of its run; the
+horizontal table is the first step's rows. Each later step is counted
+as the rows that placing its cells one at a time would materialise: a
+single step's own, and for a domino step those of its first cell,
+pinned by one color, and of its second, which :class:`_Lone` derives
+from the step's own count. The total is thus the cell-by-cell count,
+less the first cell's N rows, plus the vertical table. More candidate
+rows than ``_CHUNK_ROWS`` are expanded a run of parents at a time,
+which bounds the index temporaries and leaves the rows as they are.
 
 The windows are one array, :func:`window_rows`; :func:`enumerate_windows`
 adapts it to a stream of :class:`WindowAssembly` tuples for the readers
@@ -36,7 +57,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -111,7 +132,8 @@ def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     The array is (windows, (2k+1)^2) piece ids in the smallest unsigned
     dtype that holds them, cells row-major, rows lexicographic in L-shell
     cell order. Raises :class:`BudgetExceededError` once more than
-    ``budget`` candidate rows would be materialised.
+    ``budget`` candidate rows, counted as the module describes, would be
+    materialised.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -120,63 +142,64 @@ def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
 
     npieces = len(bag.colors)
     side = 2 * k + 1
-
-    # colors ranked densely, with a sentinel piece of color 0 appended as id
-    # npieces; 0 ranks first, and a key fits int64 whatever q is
-    sentinel = np.zeros((1, 4), dtype=np.int64)
-    colors, ranks = np.unique(np.concatenate((bag.colors, sentinel)), return_inverse=True)
-    ranks = ranks.reshape(npieces + 1, 4)
+    dtype = np.min_scalar_type(npieces)
+    # colors ranked densely, so that a key of two ranks fits int64 whatever q is
+    colors, ranks = np.unique(bag.colors, return_inverse=True)
+    ranks = ranks.reshape(npieces, 4)
     stride = len(colors)
-    up, left = ranks[:npieces, UP] * stride, ranks[:npieces, LEFT]
-    keys = np.stack([up + left, left, up, np.zeros_like(up)], axis=1).ravel()
-    order = np.argsort(keys, kind="stable")  # ids stay ascending within a key
-    keys = keys[order]
-    ids = (order // 4).astype(np.min_scalar_type(npieces))
-    # one run ids[run_lo[j]:run_lo[j] + run_cnt[j]] per distinct key run_key[j],
-    # then an empty run under a key above every query, which every miss reads
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    run_key = np.append(keys[first], stride * stride)
-    run_lo = np.append(first, len(keys))
-    run_cnt = np.diff(run_lo, append=len(keys))
+    right, down = ranks[:, RIGHT], ranks[:, DOWN]
+    # the same ranks in the smallest dtype, which numpy sorts stably by radix
+    small = ranks.astype(np.min_scalar_type(stride - 1)).T
 
-    def runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ranked = np.argsort(key)
-        at = np.empty_like(ranked)
-        at[ranked] = np.searchsorted(run_key, key[ranked])
-        at[run_key[at] != key] = len(run_key) - 1
-        return run_lo[at], run_cnt[at]
+    materialised = 0
 
-    below, beside = ranks[:, DOWN] * stride, ranks[:, RIGHT]
+    def charge(rows: int) -> None:
+        nonlocal materialised
+        materialised += rows
+        if materialised > budget:
+            raise BudgetExceededError(budget)
+
+    # a domino is a piece and a distinct piece of the run that matches its right or down side
+    ids = np.arange(npieces, dtype=dtype)
+    runs = [_color_runs(facing, small[faced], stride) for facing, faced in ((right, LEFT), (down, UP))]
+    charge(sum(int(cnt.sum()) for _, _, cnt in runs))
+    across, under = (_grow([ids], lo, cnt, (ids[by],)) for by, lo, cnt in runs)
+    single = _Index(small[UP], small[LEFT], (ids,), stride)
+    pairs = _Index(small[UP][across[0]], small[UP][across[1]], across, stride)
+    stacks = _Index(small[LEFT][under[0]], small[LEFT][under[1]], under, stride)
 
     # cells as (column, row), row 0 on top, in L-shells from the top-left
     cells: list[tuple[int, int]] = []
     for s in range(side):
         cells += [(s, r) for r in range(s)]
         cells += [(c, s) for c in range(s + 1)]
-    slot_of = {cell: s for s, cell in enumerate(cells)}
-    assert all(
-        slot_of.get(nb, -1) < s for s, (c, r) in enumerate(cells) for nb in ((c - 1, r), (c, r - 1))
-    ), "cell order must place constraints first"
-    # row column 0 holds the sentinel, slot s is column s + 1
-    left_col = [slot_of.get((c - 1, r), -1) + 1 for c, r in cells]
-    above_col = [slot_of.get((c, r - 1), -1) + 1 for c, r in cells]
-    canon = [slot_of[(c, r)] + 1 for r in range(side) for c in range(side)]
+    slot = {cell: s for s, cell in enumerate(cells)}
+    # each step looks its cells up by key a[row[i]] * stride + b[row[j]];
+    # a domino step also says how its cells would be placed one at a time
+    up, left = ranks[:, UP], ranks[:, LEFT]
+    stacked = _Lone(left, up == down, stride, lambda held, b: down[held] * stride + b)
+    paired = _Lone(up, left == right, stride, lambda held, b: b * stride + right[held])
+    steps = []
+    for s in range(1, side):
+        if s >= 2:
+            steps.append((stacks, right, slot[s - 1, 0], right, slot[s - 1, 1], stacked))
+            steps += [(single, down, slot[s, r - 1], right, slot[s - 1, r], None) for r in range(2, s)]
+        steps.append((pairs, down, slot[0, s - 1], down, slot[1, s - 1], paired))
+        steps += [(single, down, slot[c, s - 1], right, slot[c - 1, s], None) for c in range(2, s + 1)]
 
-    rows = np.full((1, 1), npieces, dtype=ids.dtype)
-    materialised = 0
-    for a, b in zip(above_col, left_col):
-        lo, cnt = runs(below[rows[:, a]] + beside[rows[:, b]])
-        total = int(cnt.sum())
-        materialised += total
-        if materialised > budget:
-            raise BudgetExceededError(budget)
-        # parents in order, about _CHUNK_ROWS candidate rows a chunk, which bounds the int64 temporaries
-        cuts = np.searchsorted(np.cumsum(cnt), np.arange(_CHUNK_ROWS, total, _CHUNK_ROWS))
-        edges = [0, *cuts.tolist(), len(rows)]
-        parts = [_extend(rows[i:j], lo[i:j], cnt[i:j], ids) for i, j in zip(edges, edges[1:])]
-        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        del parts  # the chunks would otherwise live on beside rows through the next cell
-    return rows[:, canon]
+    cols = list(across)  # the first two cells are every horizontal domino
+    for index, a, i, b, j, lone in steps:
+        major, minor = a[cols[i]], b[cols[j]]
+        lo, cnt = index.runs(major * stride + minor)
+        if lone is None:
+            charge(int(cnt.sum()))
+        else:
+            charge(lone.first(major))
+            charge(lone.second(major, minor, cnt, cols, single))
+        del major, minor  # two int64 per row, not to be held while the next rows grow
+        cols = _grow(cols, lo, cnt, index.ids)
+    assert len(cols) == side * side, "the steps must place every cell"
+    return np.stack([cols[slot[c, r]] for r in range(side) for c in range(side)], axis=1)
 
 
 def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[WindowAssembly]:
@@ -191,15 +214,100 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
             yield WindowAssembly(k, window)
 
 
-def _extend(rows: np.ndarray, lo: np.ndarray, cnt: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Extend each row by each of its candidates ``ids[lo:lo + cnt]`` that it
-    does not hold yet; parents keep their order and candidates ascend."""
-    parent = np.repeat(np.arange(len(rows)), cnt)
-    piece = ids[np.arange(len(parent)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
+class _Index:
+    """Entries filed in runs under the key ``major * stride + minor`` of
+    two ranks, as the module describes; a run keeps its entries' order."""
+
+    def __init__(self, major: np.ndarray, minor: np.ndarray, ids: tuple[np.ndarray, ...], stride: int):
+        order = np.argsort(minor, kind="stable")
+        order = order[np.argsort(major[order], kind="stable")]
+        keys = major[order].astype(np.int64) * stride + minor[order]
+        self.ids = tuple(col[order] for col in ids)
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.key = np.append(keys[first], stride * stride)
+        self.lo = np.append(first, len(keys))
+        self.cnt = np.diff(self.lo, append=len(keys))
+
+    def runs(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start and length of each key's run, empty for a key not filed."""
+        ranked = np.argsort(key)
+        at = np.empty_like(ranked)
+        at[ranked] = np.searchsorted(self.key, key[ranked])
+        at[self.key[at] != key] = len(self.key) - 1
+        return self.lo[at], self.cnt[at]
+
+
+class _Lone:
+    """How a domino step's two cells would be placed one at a time, which
+    is what the budget charges for them.
+
+    The first cell, pinned by one color on side ``pinned``, takes every
+    piece with that color; the second takes a single for each of those
+    that its row lacks. That is the step's own count, plus the dominoes
+    of a piece with itself (``twin`` marks the pieces that match their
+    own far side), less the singles that would follow a piece the row
+    already holds, which ``key`` files by that piece and the row's
+    other color.
+    """
+
+    def __init__(self, pinned: np.ndarray, twin: np.ndarray, stride: int, key: Callable[..., np.ndarray]):
+        self.pinned, self.key = pinned, key
+        self.with_color = np.bincount(pinned, minlength=stride)
+        self.twins = np.bincount(pinned[twin], minlength=stride)
+
+    def first(self, major: np.ndarray) -> int:
+        """Candidate rows of the first cell, each row pinned by ``major``."""
+        return int(self.with_color[major].sum())
+
+    def second(
+        self, major: np.ndarray, minor: np.ndarray, cnt: np.ndarray, cols: list[np.ndarray], single: _Index
+    ) -> int:
+        """Candidate rows of the second cell, from the step's own counts
+        ``cnt`` for rows keyed (major, minor) and holding ``cols``."""
+        held = [self.pinned[col] == major for col in cols]
+        after = np.concatenate([self.key(col[at], minor[at]) for col, at in zip(cols, held)])
+        at = np.searchsorted(single.key, after)
+        lacked = int(single.cnt[at][single.key[at] == after].sum())
+        return int(cnt.sum()) + int(self.twins[major[major == minor]].sum()) - lacked
+
+
+def _color_runs(facing: np.ndarray, faced: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pieces by the rank of their ``faced`` side, ids ascending within a
+    rank, and for each piece the start and length of the run whose
+    ``faced`` rank equals its ``facing`` one."""
+    by = np.argsort(faced, kind="stable")
+    per = np.bincount(faced, minlength=stride)
+    start = np.cumsum(per) - per
+    return by, start[facing], per[facing]
+
+
+def _grow(cols: list[np.ndarray], lo: np.ndarray, cnt: np.ndarray, ids: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """:func:`_extend` a run of parents at a time, about ``_CHUNK_ROWS``
+    candidate rows each, which bounds its int64 temporaries."""
+    cuts = np.searchsorted(np.cumsum(cnt), np.arange(_CHUNK_ROWS, int(cnt.sum()), _CHUNK_ROWS))
+    edges = [0, *cuts.tolist(), len(lo)]
+    parts = [_extend([c[x:y] for c in cols], lo[x:y], cnt[x:y], ids) for x, y in zip(edges, edges[1:])]
+    return parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
+
+
+def _extend(cols: list[np.ndarray], lo: np.ndarray, cnt: np.ndarray, ids: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """Extend each row, held as columns, by each of its candidates
+    ``ids[lo:lo + cnt]`` none of whose pieces it holds yet; parents keep
+    their order and candidates keep theirs."""
+    parent = np.repeat(np.arange(len(lo)), cnt)
+    at = np.arange(len(parent)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    pieces = [col[at] for col in ids]
+    grown = [col[parent] for col in cols]
     fresh = np.ones(len(parent), dtype=bool)
-    for col in range(1, rows.shape[1]):
-        fresh &= rows[parent, col] != piece
-    return np.column_stack((rows[parent[fresh]], piece[fresh]))
+    for held in grown:
+        for piece in pieces:
+            fresh &= held != piece
+    grown += pieces
+    if not fresh.all():
+        keep = np.flatnonzero(fresh)  # a gather is several times faster than a boolean mask
+        for i, col in enumerate(grown):
+            grown[i] = col[keep]  # one at a time, so each full column goes as its copy comes
+    return grown
 
 
 def aggregate_candidates(num_pieces: int, windows: Iterator[WindowAssembly]) -> Candidates:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from jigsolve.assemble import solve
 from jigsolve.gen import generate
 from jigsolve.grid import Assembly, Puzzle, disassemble, piece_at, positions_row_major
 from jigsolve.rng import generator
-from jigsolve.typicality import DEFAULT_C_PRIME, check_typical, report_from_candidates
+from jigsolve.typicality import DEFAULT_C_PRIME, _crowded_pair, check_typical, report_from_candidates
 from jigsolve.windows import BudgetExceededError, Candidates, candidate_neighborhoods
 from helpers import claimed_candidates, explicit_puzzle, reference_report
 
@@ -74,6 +75,27 @@ def test_color_pair_witness_is_smallest_over_threshold_pair():
                     report = report_from_candidates(p, planted, statuses, k, c_prime)
                     assert report.color_pair_witness == (over[0] if over else None)
                     assert report.color_pair_ok == (not over)
+
+
+def test_crowded_pair_without_sorting_at_limit_zero():
+    # at limit 0 (every k < 50 at the default c') the witness is the smallest
+    # held pair, found without sorting; it and the sorting path at limit 1
+    # agree with a count piece by piece, also for colors past 2^31
+    def reference(sides, limit):
+        counts = Counter(
+            pair
+            for row in sides.tolist()
+            for pair in {tuple(sorted((row[i], row[j]))) for i in range(4) for j in range(i + 1, 4)}
+        )
+        over = sorted(pair for pair, count in counts.items() if count > limit)
+        return (over[0], counts[over[0]]) if over else None
+
+    rng = np.random.default_rng(7)
+    for q, base in ((2, 0), (9, 0), (400, 0), (50, 2**40)):
+        for _ in range(20):
+            sides = base + rng.integers(1, q + 1, size=(int(rng.integers(1, 40)), 4))
+            for limit in (0, 1):
+                assert _crowded_pair(sides, limit) == reference(sides, limit), (q, limit)
 
 
 def test_generous_c_prime_can_accept():

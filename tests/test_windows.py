@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies
 
 from jigsolve import windows
 from jigsolve.gen import generate
-from jigsolve.grid import STEPS, Direction, PieceBag, disassemble
+from jigsolve.grid import DOWN, LEFT, RIGHT, STEPS, UP, Direction, PieceBag, disassemble
 from jigsolve.oracle import brute_force_window_rows, brute_force_windows
 from jigsolve.windows import (
     BudgetExceededError,
@@ -76,27 +77,80 @@ def test_budget_counts_candidate_rows():
     assert len(list(enumerate_windows(bag, 1, budget=4000))) == 52
 
 
-def test_budget_bounds_memory():
-    # one color: every row extends by every piece, so the budget is all that stops it
-    bag, _ = disassemble(generate(30, 1, 0), 0)
-    budget = 10**6
-    tracemalloc.start()
-    try:
+def _cell_by_cell_rows(bag: PieceBag, k: int) -> int:
+    """Candidate rows of placing one cell at a time in L-shell order: for
+    each partial window, every piece that fits the cell's placed
+    neighbors, before the pieces the window holds are dropped."""
+    side = 2 * k + 1
+    cells = []
+    for s in range(side):
+        cells += [(s, r) for r in range(s)] + [(c, s) for c in range(s + 1)]
+    colors = bag.colors.tolist()
+    total = 0
+
+    def walk(row: dict) -> None:
+        nonlocal total
+        if len(row) == len(cells):
+            return
+        c, r = cells[len(row)]
+        fits = [
+            pid
+            for pid, piece in enumerate(colors)
+            if ((c - 1, r) not in row or colors[row[c - 1, r]][RIGHT] == piece[LEFT])
+            and ((c, r - 1) not in row or colors[row[c, r - 1]][DOWN] == piece[UP])
+        ]
+        total += len(fits)
+        for pid in fits:
+            if pid not in row.values():
+                walk({**row, (c, r): pid})
+
+    walk({})
+    return total
+
+
+def test_budget_counts_domino_steps_cell_by_cell():
+    # The budget is the cell-by-cell count less the first cell's N rows,
+    # plus the vertical domino table (each piece with every piece whose up
+    # color is its down one, itself included). Few colors make pieces that
+    # pair with themselves and pieces a row already holds, which a domino
+    # step must count as its cells would.
+    for n, q, s, k in ((3, 2, 1, 1), (4, 3, 0, 1), (4, 4, 1, 1), (5, 6, 0, 2)):
+        bag, _ = disassemble(generate(n, q, s), s + 1)
+        ups = Counter(bag.colors[:, UP].tolist())
+        vertical = sum(ups[down] for down in bag.colors[:, DOWN].tolist())
+        need = _cell_by_cell_rows(bag, k) - n * n + vertical
+        window_rows(bag, k, need)
         with pytest.raises(BudgetExceededError):
-            next(enumerate_windows(bag, 1, budget))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100 * budget
+            window_rows(bag, k, need - 1)
+
+
+def test_budget_bounds_memory():
+    # one color: every row extends by every piece, so the budget is all that
+    # stops it. The domino tables are counted before they are built: at
+    # n=60 they would hold 13 M pairs, at n=30 1.6 M, which a budget of
+    # 2 * 10^6 admits, so there both are built in chunks and the next step
+    # runs out.
+    for n, budget in ((30, 10**6), (30, 2 * 10**6), (60, 10**6)):
+        bag, _ = disassemble(generate(n, 1, 0), 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                next(enumerate_windows(bag, 1, budget))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * budget, (n, budget)
 
 
 def test_budget_runs_out_at_a_two_sided_cell():
     # A B  four classes of interchangeable pieces: 10 each of A, B and C, 200
-    # C D  of D. Candidate rows: cell 1 takes all 256 pieces; cell 2, with a left
-    # neighbor only, the A-B and C-D pairs; cell 3, with an upper neighbor only,
-    # a C under each A-B pair; cell 4, pinned by two colors, every D under each
-    # of those. Nothing fits right of a B or below a C, so the class rows end
-    # there. A separate 3x3 block adds 6, 4 and 4 rows to cells 2-4, 7 to the
+    # C D  of D. The budget counts the candidate rows of placing one cell at a
+    # time. Both domino tables are counted first: the A-B and C-D pairs
+    # across, the A-C and B-D pairs down. The horizontal ones are cells 1 and
+    # 2. Cell 3, with an upper neighbor only, takes a C under each A-B pair;
+    # cell 4, pinned by two colors, every D under each of those. Nothing fits
+    # right of a B or below a C, so the class rows end there. A separate 3x3
+    # block adds 6 pairs to each table, 4 and 4 rows to cells 3-4, 7 to the
     # five cells after them, and gives the one window.
     fresh = count(5)  # colors 1..4 link the classes; every other side is unique
     a, b, c, d = 1, 2, 3, 4
@@ -118,7 +172,8 @@ def test_budget_runs_out_at_a_two_sided_cell():
     ]
     pieces += [tuple(next(fresh) for _ in range(4)) for _ in range(256 - len(pieces))]
     bag = PieceBag(16, next(fresh), pieces)
-    through_one_sided = 256 + (10 * 10 + 10 * 200 + 6) + (10 * 10 * 10 + 4)
+    dominoes = 10 * 10 + 10 * 200 + 6
+    through_one_sided = 2 * dominoes + (10 * 10 * 10 + 4)
     through_two_sided = through_one_sided + 10 * 10 * 10 * 200 + 4
     tracemalloc.start()
     try:
@@ -134,6 +189,40 @@ def test_budget_runs_out_at_a_two_sided_cell():
         next(enumerate_windows(bag, 1, through_two_sided + 6))
     block = WindowAssembly(1, tuple(range(230, 239)))
     assert list(enumerate_windows(bag, 1, through_two_sided + 7)) == [block]
+
+
+#: SHA-256 of the shape, dtype and bytes of ``window_rows(bag, k)`` for
+#: bags ``disassemble(generate(n, q, s), s + 1)``, keyed (n, q, k, s) and
+#: hashed with the cell-by-cell enumeration. Aggregation and the
+#: benchmark's window counter read the rows in this order.
+WINDOW_ROWS_SHA256 = {
+    (4, 4, 1, 0): "7495f1f8d3d3f6f71bd478b0b985173836c24f333b431037ad2bbb55acf8e71a",
+    (4, 4, 1, 1): "031f5abaedea821796da417bda4f1c4548c555ffab9a0571fe8efcba0ec844a9",
+    (4, 2, 1, 0): "e5634b7150cbeadf71ddde7383e0d1dc738f259ecc32dcb70c32b320b519cce0",
+    (4, 2, 1, 1): "3632079a891cd55d61927a72750dae062eb600d5438924345a35621bf53069e5",
+    (30, 231, 1, 0): "f66f46fcbbc818dc7da01ab29ce5f16e29a2cfa4fb6bc57db2e0027b2624255b",
+    (30, 231, 1, 1): "a9900413bd0e5ea13305b1941d0031c456faeeacfd31417e8d157b516368a578",
+    (60, 600, 1, 0): "84996f52b4d6a7f1bc3b01343445f83929b05dcf9a424dd7737326118bd77a34",
+    (60, 600, 1, 1): "97c05652f94392e21f8a352cbb81ff3daf5f6d5ae17280bd894985a8308775ac",
+    (60, 3600, 1, 0): "9a0a879b1208e4f008b1cad07fef13d24e1c254a9fb5b4e8c49a5cc90ddd1aa7",
+    (60, 3600, 1, 1): "82b534d29c1e3cb1ee8beacd37e0965c9b735b3275fb59d22c7483921be8402b",
+    (5, 8, 2, 0): "fde4d8dfef97177358bac6558a7a161549c9e405e53fc441ccaaff1b6a0fccaf",
+    (5, 8, 2, 1): "943b9ff7312d1e4242b491922ea5a2af2478974e8c65aac179aef03144f7de33",
+    (6, 12, 2, 0): "f95fb455b93783a1938c12bd14b96b4f9816105951c43cfa4cf9fd38b7bd6ccf",
+    (6, 12, 2, 1): "c37122bb79a601c60f22244cc761687ddeca87d95390fc2ffda8e2c5a4e3090c",
+    (30, 84, 2, 0): "eda91ac7641c7b91bced97e526f6b1d47c067ee81d8b0aeb81472382ed66f417",
+    (30, 84, 2, 1): "a9e26adc57d99a8b91db21f86ede5ba9f3339cf20446dabb9296186bfd94c9a9",
+    (30, 84, 3, 0): "29dd887f37e860ae30a6d78e5e576ca025b124425eaf20587fef1c2051902a5d",
+    (30, 84, 3, 1): "d7a1cc94fc32b7286077ff6bcc113ed2e50739d53ad628a034eaae402292552b",
+}
+
+
+def test_window_rows_pinned():
+    for (n, q, k, s), digest in WINDOW_ROWS_SHA256.items():
+        bag, _ = disassemble(generate(n, q, s), s + 1)
+        rows = window_rows(bag, k)
+        got = hashlib.sha256(f"{rows.shape} {rows.dtype.str}".encode() + rows.tobytes()).hexdigest()
+        assert got == digest, (n, q, k, s)
 
 
 def test_enumerate_validates_arguments():
