@@ -359,11 +359,11 @@ def solve(
     in turn until one yields a feasible assembly. Pieces with several
     candidate neighborhoods mark the puzzle as ambiguous; joining then
     relies only on direction claims shared by all of a piece's windows,
-    and if the pipeline still cannot finish, the outcome is
-    ``Failed(multiple_candidates)``. A returned assembly always
-    passes the independent feasibility check. Precomputed ``candidates``
-    (from :func:`jigsolve.windows.candidate_neighborhoods`) may be
-    supplied to avoid re-enumerating windows.
+    and if the pipeline still cannot finish, its failure is
+    ``"multiple_candidates"``. A returned assembly always passes the
+    independent feasibility check. Precomputed ``candidates`` (from
+    :func:`jigsolve.windows.candidate_neighborhoods`) may be supplied to
+    avoid re-enumerating windows.
     """
     if len(bag.colors) != n * n:
         raise ValueError("bag size must be n^2")

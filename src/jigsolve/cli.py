@@ -33,11 +33,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.bag_seed is not None and not (args.bag_out or args.planted_out):
         raise ValueError("--bag-seed applies only with --bag-out or --planted-out")
     puzzle = gen.generate(args.n, args.q, args.seed)
+    if args.bag_out or args.planted_out:  # shuffled first, so a bad --bag-seed writes no file
+        bag, planted = grid.disassemble(puzzle, args.bag_seed or 0)
     with open(args.out, "w") as fh:
         grid.write_puzzle(puzzle, fh)
     print(f"wrote puzzle n={args.n} q={args.q} to {args.out}")
     if args.bag_out or args.planted_out:
-        bag, planted = grid.disassemble(puzzle, args.bag_seed or 0)
         if args.bag_out:
             with open(args.bag_out, "w") as fh:
                 grid.write_bag(bag, fh)
@@ -119,6 +120,8 @@ def _cmd_typical(args: argparse.Namespace) -> int:
 def _cmd_candidates(args: argparse.Namespace) -> int:
     with open(args.infile) as fh:
         bag = grid.read_bag(fh)
+    if args.k < 1 or 2 * args.k >= bag.n:
+        raise ValueError("need 1 <= k < n/2")
     statuses = windows.candidate_neighborhoods(bag, args.k, args.budget)
     print(f"none: {int((statuses.windows == 0).sum())}")
     print(f"unique: {int(statuses.unique.sum())}")
@@ -145,6 +148,8 @@ def _cmd_analyze_window(args: argparse.Namespace) -> int:
             px, py = (int(t) for t in rhs.split())
         except ValueError:
             raise ValueError(f"bad window map line {line!r}: expected 'wx wy -> px py'") from None
+        if (wx, wy) in mapping:
+            raise ValueError(f"window cell ({wx}, {wy}) is mapped twice")
         mapping[(wx, wy)] = (px, py)
     wm = constraints.WindowMap(k, mapping)
     tiles = constraints.tiles_of(wm)

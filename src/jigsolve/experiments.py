@@ -17,7 +17,7 @@ import numpy as np
 from .assemble import solve
 from .gen import MAX_Q, generate
 from .grid import disassemble
-from .rng import mix_seed
+from .rng import MASK64, mix_seed
 from .typicality import DEFAULT_C_PRIME, report_from_candidates
 from .windows import DEFAULT_BUDGET, BudgetExceededError, aggregate_candidates, enumerate_windows
 
@@ -116,8 +116,8 @@ class SweepConfig:
             raise ValueError("give exactly one of qs or alphas")
         if not self.ns or self.trials < 1 or self.k < 1 or self.budget < 1:
             raise ValueError("all sweep parameters must be positive")
-        if self.master_seed < 0:
-            raise ValueError("master seed must be non-negative")
+        if not 0 <= self.master_seed <= MASK64:
+            raise ValueError(f"master seed must be an integer in [0, 2^64); got {self.master_seed}")
         for n in self.ns:
             m = n - 2 * self.k
             if m < 1 or 2 * m * m < n * n:

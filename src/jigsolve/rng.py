@@ -33,9 +33,8 @@ def mix_seed(master: int, *indices: int) -> int:
         for ix in indices:
             state = splitmix64(state XOR (ix * 0x9E3779B97F4A7C15 mod 2^64))
     """
-    if master < 0:
-        raise ValueError("seed must be a non-negative integer")
-    state = master & MASK64
+    _check_seed(master)
+    state = master
     for ix in indices:
         if ix < 0:
             raise ValueError("stream indices must be non-negative")
@@ -45,6 +44,11 @@ def mix_seed(master: int, *indices: int) -> int:
 
 def generator(seed: int) -> np.random.Generator:
     """A PCG64 generator seeded with the given 64-bit seed."""
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    return np.random.Generator(np.random.PCG64(seed & MASK64))
+    _check_seed(seed)
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _check_seed(seed: int) -> None:
+    # a larger seed would be masked to a smaller one and repeat its stream
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2^64); got {seed}")

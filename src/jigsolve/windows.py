@@ -34,17 +34,15 @@ held as one array per cell. Each step sorts its keys, searches them in
 increasing order and scatters the runs back, which is several times
 faster than searching them as they come. Parents keep their order and
 entries keep theirs, so the rows are lexicographic in cell order: the
-same rows, in the same order, as placing one cell at a time. The budget
-counts candidate rows before they are allocated. It first counts both
-domino tables, each piece paired with every piece of its run; the
-horizontal table is the first step's rows. Each later step is counted
-as the rows that placing its cells one at a time would materialise: a
-single step's own, and for a domino step those of its first cell,
-pinned by one color, and of its second, which :class:`_Lone` derives
-from the step's own count. The total is thus the cell-by-cell count,
-less the first cell's N rows, plus the vertical table. More candidate
-rows than ``_CHUNK_ROWS`` are expanded a run of parents at a time,
-which bounds the index temporaries and leaves the rows as they are.
+same rows, in the same order, as placing one cell at a time.
+
+The budget counts candidate rows before they are allocated: first both
+domino tables, each piece paired with every piece of its run (the
+horizontal table is the first step's rows), then for each later step
+every entry of the run that each row looks up, before the entries that
+repeat a piece of the row are dropped. More candidate rows than
+``_CHUNK_ROWS`` are expanded a run of parents at a time, which bounds
+the index temporaries and leaves the rows as they are.
 
 The windows are one array, :func:`window_rows`; :func:`enumerate_windows`
 adapts it to a stream of :class:`WindowAssembly` tuples for the readers
@@ -57,7 +55,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -174,29 +172,19 @@ def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
         cells += [(s, r) for r in range(s)]
         cells += [(c, s) for c in range(s + 1)]
     slot = {cell: s for s, cell in enumerate(cells)}
-    # each step looks its cells up by key a[row[i]] * stride + b[row[j]];
-    # a domino step also says how its cells would be placed one at a time
-    up, left = ranks[:, UP], ranks[:, LEFT]
-    stacked = _Lone(left, up == down, stride, lambda held, b: down[held] * stride + b)
-    paired = _Lone(up, left == right, stride, lambda held, b: b * stride + right[held])
+    # each step looks its cells up by key a[row[i]] * stride + b[row[j]]
     steps = []
     for s in range(1, side):
         if s >= 2:
-            steps.append((stacks, right, slot[s - 1, 0], right, slot[s - 1, 1], stacked))
-            steps += [(single, down, slot[s, r - 1], right, slot[s - 1, r], None) for r in range(2, s)]
-        steps.append((pairs, down, slot[0, s - 1], down, slot[1, s - 1], paired))
-        steps += [(single, down, slot[c, s - 1], right, slot[c - 1, s], None) for c in range(2, s + 1)]
+            steps.append((stacks, right, slot[s - 1, 0], right, slot[s - 1, 1]))
+            steps += [(single, down, slot[s, r - 1], right, slot[s - 1, r]) for r in range(2, s)]
+        steps.append((pairs, down, slot[0, s - 1], down, slot[1, s - 1]))
+        steps += [(single, down, slot[c, s - 1], right, slot[c - 1, s]) for c in range(2, s + 1)]
 
     cols = list(across)  # the first two cells are every horizontal domino
-    for index, a, i, b, j, lone in steps:
-        major, minor = a[cols[i]], b[cols[j]]
-        lo, cnt = index.runs(major * stride + minor)
-        if lone is None:
-            charge(int(cnt.sum()))
-        else:
-            charge(lone.first(major))
-            charge(lone.second(major, minor, cnt, cols, single))
-        del major, minor  # two int64 per row, not to be held while the next rows grow
+    for index, a, i, b, j in steps:
+        lo, cnt = index.runs(a[cols[i]] * stride + b[cols[j]])
+        charge(int(cnt.sum()))
         cols = _grow(cols, lo, cnt, index.ids)
     assert len(cols) == side * side, "the steps must place every cell"
     return np.stack([cols[slot[c, r]] for r in range(side) for c in range(side)], axis=1)
@@ -235,40 +223,6 @@ class _Index:
         at[ranked] = np.searchsorted(self.key, key[ranked])
         at[self.key[at] != key] = len(self.key) - 1
         return self.lo[at], self.cnt[at]
-
-
-class _Lone:
-    """How a domino step's two cells would be placed one at a time, which
-    is what the budget charges for them.
-
-    The first cell, pinned by one color on side ``pinned``, takes every
-    piece with that color; the second takes a single for each of those
-    that its row lacks. That is the step's own count, plus the dominoes
-    of a piece with itself (``twin`` marks the pieces that match their
-    own far side), less the singles that would follow a piece the row
-    already holds, which ``key`` files by that piece and the row's
-    other color.
-    """
-
-    def __init__(self, pinned: np.ndarray, twin: np.ndarray, stride: int, key: Callable[..., np.ndarray]):
-        self.pinned, self.key = pinned, key
-        self.with_color = np.bincount(pinned, minlength=stride)
-        self.twins = np.bincount(pinned[twin], minlength=stride)
-
-    def first(self, major: np.ndarray) -> int:
-        """Candidate rows of the first cell, each row pinned by ``major``."""
-        return int(self.with_color[major].sum())
-
-    def second(
-        self, major: np.ndarray, minor: np.ndarray, cnt: np.ndarray, cols: list[np.ndarray], single: _Index
-    ) -> int:
-        """Candidate rows of the second cell, from the step's own counts
-        ``cnt`` for rows keyed (major, minor) and holding ``cols``."""
-        held = [self.pinned[col] == major for col in cols]
-        after = np.concatenate([self.key(col[at], minor[at]) for col, at in zip(cols, held)])
-        at = np.searchsorted(single.key, after)
-        lacked = int(single.cnt[at][single.key[at] == after].sum())
-        return int(cnt.sum()) + int(self.twins[major[major == minor]].sum()) - lacked
 
 
 def _color_runs(facing: np.ndarray, faced: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

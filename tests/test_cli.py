@@ -59,6 +59,16 @@ def test_candidates_counts(tmp_path, capsys):
     assert "none: 20" in text
 
 
+@pytest.mark.parametrize("k", ["0", "2", "50"])
+def test_candidates_k_out_of_range_exit_code(tmp_path, capsys, k):
+    # at 2k >= n no window fits the board, and enumerating them anyway takes long
+    bagfile = tmp_path / "bag.txt"
+    main(["generate", "--n", "4", "--q", "4", "--out", str(tmp_path / "p.txt"), "--bag-out", str(bagfile)])
+    capsys.readouterr()
+    assert main(["candidates", "--in", str(bagfile), "--k", k]) == 2
+    assert capsys.readouterr().err == "error: need 1 <= k < n/2\n"
+
+
 @pytest.mark.parametrize(
     "command, infile, cap, exceeded",
     [
@@ -197,6 +207,34 @@ def test_bag_seed_defaults_to_zero(tmp_path):
     assert (tmp_path / "default.txt").read_text() != (tmp_path / "seven.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--seed", str(2**64)],
+        ["--seed", str(2**64), "--variant"],
+        ["--bag-seed", str(2**64), "--bag-out", "b.txt"],
+    ],
+    ids=["seed", "variant-seed", "bag-seed"],
+)
+def test_seed_past_64_bits_exit_code(tmp_path, capsys, monkeypatch, args):
+    # masking such a seed would repeat the puzzle of a smaller one
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--n", "3", "--q", "5", "--out", "p.txt", *args]) == 2
+    assert capsys.readouterr().err == f"error: seed must be an integer in [0, 2^64); got {2**64}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_seed_past_64_bits_exit_code(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    sweep = ["sweep", "--set", "n=7", "--set", "q=300", "--out", str(out)]
+    assert main([*sweep, "--set", f"seed={2**64 - 1}"]) == 0
+    capsys.readouterr()
+    out.unlink()
+    assert main([*sweep, "--set", f"seed={2**64}"]) == 2
+    assert capsys.readouterr().err == f"error: master seed must be an integer in [0, 2^64); got {2**64}\n"
+    assert not out.exists()
+
+
 def test_involution_without_variant_exit_code(tmp_path, capsys):
     out = tmp_path / "p.txt"
     assert main(["generate", "--n", "2", "--q", "3", "--involution", "pairing", "--out", str(out)]) == 2
@@ -252,7 +290,11 @@ def test_analyze_window(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content, named",
-    [("", "empty window map"), ("1\n1 1 1 1\n", "'1 1 1 1'")],
+    [
+        ("", "empty window map"),
+        ("1\n1 1 1 1\n", "'1 1 1 1'"),
+        ("1\n0 0 -> 2 2\n0 0 -> 3 3\n", "(0, 0) is mapped twice"),
+    ],
 )
 def test_analyze_window_bad_input(tmp_path, capsys, content, named):
     mapfile = tmp_path / "map.txt"

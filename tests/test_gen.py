@@ -65,6 +65,19 @@ def test_mix_seed_is_stable_and_spreads():
         generator(-3)
 
 
+def test_seeds_past_64_bits_are_rejected():
+    # masking them would alias a seed s + 2^64 to s; the largest seed is kept
+    generate(3, 5, seed=2**64 - 1)
+    mix_seed(2**64 - 1, 1)
+    for big in (2**64, 2**64 + 7):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            generator(big)
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            mix_seed(big, 1)
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            generate(3, 5, seed=big)
+
+
 def test_variant_respects_involution_exactly():
     iota = make_involution(6, "pairing")
     vp = generate_variant(4, 6, iota, seed=3)

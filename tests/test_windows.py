@@ -70,55 +70,64 @@ def test_budget_exceeded_on_monochromatic():
 
 
 def test_budget_counts_candidate_rows():
-    # about 3.9 k candidate rows, though a depth-first search places only 1.5 k pieces
+    # about 3.8 k candidate rows, though a depth-first search places only 1.5 k pieces
     bag, _ = disassemble(generate(3, 2, 1), 2)
     with pytest.raises(BudgetExceededError, match="budget of 2000 candidate rows"):
         list(enumerate_windows(bag, 1, budget=2000))
     assert len(list(enumerate_windows(bag, 1, budget=4000))) == 52
 
 
-def _cell_by_cell_rows(bag: PieceBag, k: int) -> int:
-    """Candidate rows of placing one cell at a time in L-shell order: for
-    each partial window, every piece that fits the cell's placed
-    neighbors, before the pieces the window holds are dropped."""
+def _domino_rows(bag: PieceBag, k: int) -> int:
+    """Candidate rows of the domino steps, walked one partial window at a
+    time: both domino tables (each piece with every piece that matches its
+    right or down side, itself included), then for each later step every
+    single or distinct pair that fits the placed neighbors, before the
+    candidates that repeat a piece of the window are dropped."""
     side = 2 * k + 1
-    cells = []
-    for s in range(side):
-        cells += [(s, r) for r in range(s)] + [(c, s) for c in range(s + 1)]
+    steps = []
+    for s in range(1, side):
+        if s >= 2:
+            steps += [[(s, 0), (s, 1)]] + [[(s, r)] for r in range(2, s)]
+        steps += [[(0, s), (1, s)]] + [[(c, s)] for c in range(2, s + 1)]
     colors = bag.colors.tolist()
-    total = 0
+    pids = range(len(colors))
+    across = [(p, r) for p in pids for r in pids if colors[p][RIGHT] == colors[r][LEFT]]
+    down = [(p, r) for p in pids for r in pids if colors[p][DOWN] == colors[r][UP]]
+    total = len(across) + len(down)
 
-    def walk(row: dict) -> None:
+    def fits(row: dict, cell: tuple[int, int], pid: int) -> bool:
+        c, r = cell
+        return ((c - 1, r) not in row or colors[row[c - 1, r]][RIGHT] == colors[pid][LEFT]) and (
+            (c, r - 1) not in row or colors[row[c, r - 1]][DOWN] == colors[pid][UP]
+        )
+
+    def walk(row: dict, step: int) -> None:
         nonlocal total
-        if len(row) == len(cells):
+        if step == len(steps):
             return
-        c, r = cells[len(row)]
-        fits = [
-            pid
-            for pid, piece in enumerate(colors)
-            if ((c - 1, r) not in row or colors[row[c - 1, r]][RIGHT] == piece[LEFT])
-            and ((c, r - 1) not in row or colors[row[c, r - 1]][DOWN] == piece[UP])
-        ]
-        total += len(fits)
-        for pid in fits:
-            if pid not in row.values():
-                walk({**row, (c, r): pid})
+        cells = steps[step]
+        if len(cells) == 1:
+            fitting = [(pid,) for pid in pids if fits(row, cells[0], pid)]
+        else:
+            table = across if cells[0][1] == cells[1][1] else down
+            fitting = [(p, r) for p, r in table if p != r and fits(row, cells[0], p) and fits(row, cells[1], r)]
+        total += len(fitting)
+        for pieces in fitting:
+            if not set(pieces) & set(row.values()):
+                walk({**row, **dict(zip(cells, pieces))}, step + 1)
 
-    walk({})
+    for p, r in across:
+        if p != r:
+            walk({(0, 0): p, (1, 0): r}, 0)
     return total
 
 
-def test_budget_counts_domino_steps_cell_by_cell():
-    # The budget is the cell-by-cell count less the first cell's N rows,
-    # plus the vertical domino table (each piece with every piece whose up
-    # color is its down one, itself included). Few colors make pieces that
-    # pair with themselves and pieces a row already holds, which a domino
-    # step must count as its cells would.
+def test_budget_counts_domino_steps():
+    # Few colors make pieces that pair with themselves and candidates that
+    # repeat a piece the window holds; the budget counts both.
     for n, q, s, k in ((3, 2, 1, 1), (4, 3, 0, 1), (4, 4, 1, 1), (5, 6, 0, 2)):
         bag, _ = disassemble(generate(n, q, s), s + 1)
-        ups = Counter(bag.colors[:, UP].tolist())
-        vertical = sum(ups[down] for down in bag.colors[:, DOWN].tolist())
-        need = _cell_by_cell_rows(bag, k) - n * n + vertical
+        need = _domino_rows(bag, k)
         window_rows(bag, k, need)
         with pytest.raises(BudgetExceededError):
             window_rows(bag, k, need - 1)
@@ -144,14 +153,13 @@ def test_budget_bounds_memory():
 
 def test_budget_runs_out_at_a_two_sided_cell():
     # A B  four classes of interchangeable pieces: 10 each of A, B and C, 200
-    # C D  of D. The budget counts the candidate rows of placing one cell at a
-    # time. Both domino tables are counted first: the A-B and C-D pairs
-    # across, the A-C and B-D pairs down. The horizontal ones are cells 1 and
-    # 2. Cell 3, with an upper neighbor only, takes a C under each A-B pair;
-    # cell 4, pinned by two colors, every D under each of those. Nothing fits
-    # right of a B or below a C, so the class rows end there. A separate 3x3
-    # block adds 6 pairs to each table, 4 and 4 rows to cells 3-4, 7 to the
-    # five cells after them, and gives the one window.
+    # C D  of D. Both domino tables are counted first: the A-B and C-D pairs
+    # across, the A-C and B-D pairs down. The horizontal ones are the first
+    # step's rows. The next step, pinned by the down colors of an A-B pair,
+    # takes every C-D pair under it, so D's cell is pinned by two colors.
+    # Nothing fits right of a B or below a C, so the class rows end there. A
+    # separate 3x3 block adds 6 pairs to each table, 4 rows to that step, 4
+    # to the three steps after it, and gives the one window.
     fresh = count(5)  # colors 1..4 link the classes; every other side is unique
     a, b, c, d = 1, 2, 3, 4
     pieces = [(a, next(fresh), next(fresh), b) for _ in range(10)]
@@ -173,22 +181,22 @@ def test_budget_runs_out_at_a_two_sided_cell():
     pieces += [tuple(next(fresh) for _ in range(4)) for _ in range(256 - len(pieces))]
     bag = PieceBag(16, next(fresh), pieces)
     dominoes = 10 * 10 + 10 * 200 + 6
-    through_one_sided = 2 * dominoes + (10 * 10 * 10 + 4)
-    through_two_sided = through_one_sided + 10 * 10 * 10 * 200 + 4
+    tables = 2 * dominoes
+    through_two_sided = tables + 10 * 10 * 10 * 200 + 4
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
-            next(enumerate_windows(bag, 1, through_one_sided))
+            next(enumerate_windows(bag, 1, tables))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * through_one_sided
+    assert peak < 100 * tables
     with pytest.raises(BudgetExceededError):
         next(enumerate_windows(bag, 1, through_two_sided - 1))
     with pytest.raises(BudgetExceededError):
-        next(enumerate_windows(bag, 1, through_two_sided + 6))
+        next(enumerate_windows(bag, 1, through_two_sided + 3))
     block = WindowAssembly(1, tuple(range(230, 239)))
-    assert list(enumerate_windows(bag, 1, through_two_sided + 7)) == [block]
+    assert list(enumerate_windows(bag, 1, through_two_sided + 4)) == [block]
 
 
 #: SHA-256 of the shape, dtype and bytes of ``window_rows(bag, k)`` for
