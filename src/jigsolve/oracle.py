@@ -1,18 +1,17 @@
 """Brute-force ground truth at tiny scale.
 
 Everything here is deliberately naive: no color index, no chain seeding.
-Assemblies are found by backtracking over the board in row-major order;
-windows by breadth-first extension over the window in row-major order,
-in numpy, holding every partial window at once. Both prune only by
-direct color comparison with the left and upper neighbors. The windows
-are one array, :func:`brute_force_window_rows`; :func:`brute_force_windows`
-lists its rows as :class:`WindowAssembly` tuples. The point is to be an
-independent reference for the fast enumeration and for uniqueness
-questions at tiny n, not to be quick.
+Assemblies are found by backtracking over the board in row-major order,
+windows by one breadth-first numpy pass over the window in row-major
+order that holds every partial window of the bag at once; both prune
+only by direct color comparison with the left and upper neighbors. The
+point is an independent reference for the fast enumeration and for
+uniqueness questions at tiny n, not speed.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +21,9 @@ from .windows import WindowAssembly
 
 #: Default cap on enumerated assemblies.
 DEFAULT_LIMIT = 10**6
+
+#: Entries (partial windows x pieces) of one slice of the window pass.
+_FITS_ENTRIES = 2**16
 
 
 class LimitExceededError(Exception):
@@ -103,45 +105,43 @@ def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessR
     )
 
 
-def brute_force_window_rows(bag: PieceBag, center: int, k: int = 1) -> np.ndarray:
-    """Exhaustive enumeration of feasible windows with a given center.
+def brute_force_window_rows(bag: PieceBag, k: int = 1) -> np.ndarray:
+    """Every feasible window of the bag, one row each, cells row-major, rows ascending.
 
     Starting from one empty window, each cell in row-major order extends
-    every partial window by every piece (by ``center`` alone at the
-    middle cell). An extension is kept when the piece matches its left
-    and upper neighbors by direct color comparison and is not yet in the
-    window. The windows come out as one row each, cells row-major, in
-    ascending order. The cost is O(partial windows x pieces) per cell,
-    so this is for tiny n only.
+    every partial window by every piece that matches its left and upper
+    neighbors by direct color comparison and is not yet in the window.
+    The cost is O(partial windows x pieces) per cell: tiny n only.
     """
-    # each partial window lies in a frame with a blank row above it and a
-    # blank column left of it; the blank piece's colors are 0, which the
-    # comparisons let any color match
-    blank = len(bag.colors)
-    colors = np.concatenate((bag.colors, np.zeros((1, 4), dtype=np.int64)))
-    side = 2 * k + 1
-    width = side + 1
-    cells = [r * width + c for r in range(1, width) for c in range(1, width)]
-    mid = cells[len(cells) // 2]
-    everyone = np.arange(blank)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    right, up, left, down = (bag.colors[:, s] for s in (RIGHT, UP, LEFT, DOWN))
+    npieces, side = len(bag.colors), 2 * k + 1
     # ids in the smallest dtype that holds them keep the partial windows small
-    rows = np.full((1, width * width), blank, dtype=np.min_scalar_type(blank))
-    for cell in cells:
-        pids = np.array([center]) if cell == mid else everyone
-        left = colors[rows[:, cell - 1], RIGHT][:, None]
-        up = colors[rows[:, cell - width], DOWN][:, None]
-        fits = (left == 0) | (left == colors[pids, LEFT])
-        fits &= (up == 0) | (up == colors[pids, UP])
-        parent, ix = np.nonzero(fits)  # by parent, then by piece id: the order stays ascending
-        piece = pids[ix]
-        fresh = np.ones(len(piece), dtype=bool)
-        for before in range(width, cell):
-            fresh &= rows[parent, before] != piece
-        rows = rows[parent[fresh]]
-        rows[:, cell] = piece[fresh]
-    return rows[:, cells]
+    rows = np.empty((1, 0), dtype=np.min_scalar_type(npieces))
+    step = max(1, _FITS_ENTRIES // npieces)
+    for cell in range(side * side):
+        parts = []
+        for block in np.split(rows, range(step, len(rows), step)):  # at least one block, maybe empty
+            fits = np.ones((len(block), npieces), dtype=bool)
+            if cell % side:
+                fits &= right[block[:, cell - 1], None] == left
+            if cell >= side:
+                fits &= down[block[:, cell - side], None] == up
+            fits[np.arange(len(block))[:, None], block] = False  # pieces already in the window
+            parent, piece = np.nonzero(fits)  # by parent, then by piece id: the order stays ascending
+            parts.append(np.column_stack((block[parent], piece.astype(rows.dtype))))
+        rows = np.concatenate(parts)
+    return rows
+
+
+# keyed by identity, as PieceBag is; holding the last bag keeps its id from being reused
+_bag_rows = functools.lru_cache(maxsize=1)(brute_force_window_rows)
 
 
 def brute_force_windows(bag: PieceBag, center: int, k: int = 1) -> list[WindowAssembly]:
-    """The rows of :func:`brute_force_window_rows` as :class:`WindowAssembly` tuples."""
-    return [WindowAssembly(k, c) for c in zip(*brute_force_window_rows(bag, center, k).T.tolist())]
+    """The bag's windows around ``center`` as :class:`WindowAssembly` tuples, from one pass per bag."""
+    if not 0 <= center < len(bag.colors):
+        raise ValueError(f"center must be a piece id in [0..{len(bag.colors) - 1}]")
+    rows = _bag_rows(bag, k)
+    return [WindowAssembly(k, c) for c in zip(*rows[rows[:, rows.shape[1] // 2] == center].T.tolist())]

@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies
 
@@ -14,6 +17,7 @@ from jigsolve.grid import (
 from jigsolve.oracle import (
     LimitExceededError,
     brute_force_window_rows,
+    brute_force_windows,
     enumerate_feasible_assemblies,
     uniqueness_report,
 )
@@ -156,7 +160,72 @@ def test_brute_windows_contain_planted_block():
         for dy in (1, 0, -1)
         for dx in (-1, 0, 1)
     )
-    assert list(block) in brute_force_window_rows(bag, center, 1).tolist()
+    rows = brute_force_window_rows(bag, 1)
+    assert list(block) in rows[rows[:, 4] == center].tolist()
+
+
+#: SHA-256 of the shape, dtype and bytes of ``brute_force_window_rows(bag, k)``
+#: for bags ``disassemble(generate(n, q, s), s + 1)``, keyed (n, q, k, s).
+#: Hashed from the per-center rows of the earlier enumeration, concatenated
+#: and sorted ascending.
+BRUTE_ROWS_SHA256 = {
+    (3, 1, 1, 0): "fef131b42b94c3ede45d6be9598b2e16c73d71fd962aa663363882635c331d5a",
+    (3, 2, 1, 0): "97a8726dc21be67b6bb0f418a9234bce321fba3c8932a4cf4a56582c34729b73",
+    (3, 3, 1, 0): "6111a8cf50d51f3b25c23c60ff73502bd97a5693e8bd8efdb5d7bf6d353b7b3d",
+    (4, 3, 1, 0): "a170bda5bda6d4dce6ff24c95dcb867f7e22133724bc979b7463f8db043ecb9c",
+    (4, 3, 1, 1): "915a8ad024762a30c6fc83bc737789e4c90356cf4b78cd4a821f12e63cde44ae",
+    (4, 4, 1, 0): "55fd65ee3ad95bd1ffdab860affedb56c044241ede6b28efcaff3148081ea0d4",
+    (4, 4, 1, 1): "39c26fe1d323ed943be2a5685710d5a5890dd58bdd24f51cac0b37990fcec806",
+    (5, 8, 2, 0): "fde4d8dfef97177358bac6558a7a161549c9e405e53fc441ccaaff1b6a0fccaf",
+    (6, 12, 2, 1): "c37122bb79a601c60f22244cc761687ddeca87d95390fc2ffda8e2c5a4e3090c",
+}
+#: The same for the 3x3 bag of ``test_brute_windows_equal_fast_path_past_int64_keys``.
+BRUTE_ROWS_WIDE_Q_SHA256 = "85a6a123b97153e3689fd7ae3883e3a4b651c31b9de9db44f977e6cdf997dadf"
+
+
+def test_brute_window_rows_pinned():
+    cases = [
+        (disassemble(generate(n, q, s), s + 1)[0], k, digest) for (n, q, k, s), digest in BRUTE_ROWS_SHA256.items()
+    ]
+    q = 2**32
+    cases.append((PieceBag(3, q, [(1, 1, 1, 1)] * 8 + [(1, q, 1, 1)]), 1, BRUTE_ROWS_WIDE_Q_SHA256))
+    for bag, k, digest in cases:
+        rows = brute_force_window_rows(bag, k)
+        got = hashlib.sha256(f"{rows.shape} {rows.dtype.str}".encode() + rows.tobytes()).hexdigest()
+        assert got == digest, (bag.n, bag.q, k)
+
+
+def test_brute_windows_per_center_across_bags():
+    # each call lists its own bag's windows for its own k and center,
+    # whichever bag and k came before
+    bags = [disassemble(generate(n, q, seed=seed), seed + 1)[0] for n, q, seed in ((5, 8, 0), (6, 12, 1))]
+    expected = {(b, k): brute_force_window_rows(bag, k) for b, bag in enumerate(bags) for k in (1, 2)}
+    assert all(len(rows) for rows in expected.values())
+    # another k on the same bag, another bag at the same k, and the same call twice
+    for center in range(25):
+        for b, k in ((0, 1), (0, 2), (1, 2), (1, 1), (1, 1), (0, 1)):
+            rows = expected[b, k]
+            rows = rows[rows[:, rows.shape[1] // 2] == center]
+            got = brute_force_windows(bags[b], center, k)
+            assert [(wa.k, wa.cells) for wa in got] == [(k, cells) for cells in map(tuple, rows.tolist())]
+    # no right color is any left color: not a single window
+    bag = PieceBag(3, 2, [(1, 1, 2, 1)] * 9)
+    for k in (1, 2):
+        rows = brute_force_window_rows(bag, k)
+        assert rows.shape == (0, (2 * k + 1) ** 2) and rows.dtype == np.uint8
+        assert all(brute_force_windows(bag, center, k) == [] for center in range(9))
+
+
+def test_brute_windows_reject_bad_k_and_center():
+    bag, _ = disassemble(generate(3, 2, seed=0), 1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            brute_force_window_rows(bag, k)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            brute_force_windows(bag, 0, k)
+    for center in (-1, 9):
+        with pytest.raises(ValueError, match="center"):
+            brute_force_windows(bag, center, 1)
 
 
 def shell_order(k):
@@ -194,10 +263,12 @@ def test_brute_windows_equal_fast_path(nq, k, seed):
         fast = window_rows(bag, k, budget=10**5)
     except BudgetExceededError:
         assume(False)
+    every = brute_force_window_rows(bag, k)
+    mid = every.shape[1] // 2
     brute = []
     for center in range(n * n):
-        rows = brute_force_window_rows(bag, center, k)
-        assert (rows[:, rows.shape[1] // 2] == center).all()
+        rows = every[every[:, mid] == center]
+        assert (rows[:, mid] == center).all()
         cells = rows.tolist()
         assert all(a < b for a, b in zip(cells, cells[1:]))  # strictly ascending
         brute += cells
@@ -210,7 +281,7 @@ def test_brute_windows_equal_fast_path_past_int64_keys():
     q = 2**32
     bag = PieceBag(3, q, [(1, 1, 1, 1)] * 8 + [(1, q, 1, 1)])
     fast = sorted(window_rows(bag, 1).tolist())
-    brute = sorted(cells for center in range(9) for cells in brute_force_window_rows(bag, center, 1).tolist())
+    brute = sorted(brute_force_window_rows(bag, 1).tolist())
     assert len(brute) == 120_960
     assert fast == brute
 
@@ -220,10 +291,11 @@ def test_deviant_only_empty_in_easy_regime():
     n = 6
     p = generate(n, 10_000, seed=3)
     bag, planted = disassemble(p, 3)
+    every = brute_force_window_rows(bag, 1)
     for ci in range(2, n):
         for cj in range(2, n):
             center = planted.placement[(ci, cj)]
             expected = tuple(planted.placement[(ci + dx, cj + dy)] for dx, dy in STEPS)
-            rows = brute_force_window_rows(bag, center, 1)
+            rows = every[every[:, 4] == center]
             assert len(rows)  # the planted window at least
             assert (rows[:, [5, 1, 3, 7]] == expected).all()  # right, up, left and down of the center
