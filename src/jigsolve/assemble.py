@@ -63,14 +63,12 @@ def mutual_components(cands: Candidates) -> list[PartialAssembly]:
     piece's stable claim in direction ``d ^ 2`` is ``p``. With no
     multiple statuses this is exactly the unique-neighborhood join.
 
-    Pieces are attached breadth first from the smallest unattached id; a
-    link is dropped when its far piece is already attached or its cell is
-    already taken. A union-find over the links places each piece relative
-    to its graph component's smallest id; where those places agree with
-    every link and are distinct, that walk attaches the whole component
-    there, so only the other graph components are walked. Components
-    start at (0, 0), list their ids ascending, and are sorted largest
-    first, then by smallest id; singletons follow, ascending.
+    A union-find over the links places each piece relative to its graph
+    component's smallest id. A graph component is joined when those
+    places agree with every link and no two of its pieces share a cell;
+    otherwise its pieces stay singletons. Components start at (0, 0),
+    list their ids ascending, and are sorted largest first, then by
+    smallest id; singletons follow, ascending.
     """
     stable = cands.stable
     num = len(stable)
@@ -85,18 +83,14 @@ def mutual_components(cands: Candidates) -> list[PartialAssembly]:
     root, off = _union_find(num, src, dst, step)
 
     # a graph component is rigid when every link steps where the union-find
-    # put its far piece and no two pieces share a cell; wrapping on
-    # overflow can only merge keys, which sends a rigid component to the walk
+    # put its far piece and no two pieces share a cell
     members = np.flatnonzero((linked >= 0).any(axis=1))
-    keys = root[members] * (2 * num * width) + off[members]
-    ranked = np.sort(keys)
     bad = np.zeros(num, dtype=bool)
     bad[root[src[off[dst] - off[src] != step]]] = True
-    shared = ranked[1:][ranked[1:] == ranked[:-1]]
-    bad[root[members[np.isin(keys, shared)]]] = True
-    walk = members[bad[root[members]]]
-    root[walk] = walk  # a piece the walk leaves alone is a singleton
-    _breadth_first(dict(zip(walk.tolist(), linked[walk].tolist())), width, root, off)
+    ranked = members[np.lexsort((off[members], root[members]))]
+    shared = (root[ranked[1:]] == root[ranked[:-1]]) & (off[ranked[1:]] == off[ranked[:-1]])
+    bad[root[ranked[1:][shared]]] = True
+    members = members[~bad[root[members]]]
 
     pid = members[np.argsort(root[members], kind="stable")]  # grouped by root, ascending within
     starts = np.flatnonzero(np.diff(root[pid], prepend=-1))
@@ -105,11 +99,9 @@ def mutual_components(cands: Candidates) -> list[PartialAssembly]:
     y = off[pid] - x * width
     x -= np.repeat(np.minimum.reduceat(x, starts), sizes)
     y -= np.repeat(np.minimum.reduceat(y, starts), sizes)
-    spans = [slice(starts[c], starts[c] + sizes[c]) for c in np.lexsort((pid[starts], -sizes)) if sizes[c] > 1]
+    spans = [slice(starts[c], starts[c] + sizes[c]) for c in np.lexsort((pid[starts], -sizes))]
     comps = [PartialAssembly(pid[at], x[at], y[at]) for at in spans]
-    alone = np.ones(num, dtype=bool)
-    alone[pid[np.repeat(sizes, sizes) > 1]] = False
-    alone = np.flatnonzero(alone)
+    alone = np.flatnonzero(np.bincount(pid, minlength=num) == 0)
     origin = np.zeros(1, dtype=np.int64)
     return comps + [PartialAssembly(alone[c : c + 1], origin, origin) for c in range(len(alone))]
 
@@ -148,35 +140,6 @@ def _union_find(num: int, src: np.ndarray, dst: np.ndarray, step: np.ndarray) ->
             par[hooked] = par[up]
         off += off[par]
         par = par[par]
-
-
-def _breadth_first(links: dict[int, list[int]], width: int, root: np.ndarray, off: np.ndarray) -> None:
-    """The walk of :func:`mutual_components` from each piece of ``links``
-    (ascending, mapped to its right, up, left and down links, -1 for
-    none): each piece of a component of two or more gets the component's
-    first piece in ``root`` and its packed cell relative to it in ``off``.
-    """
-    steps = [x * width + y for x, y in STEPS]
-    seen: set[int] = set()
-    for first in links:
-        if first in seen:
-            continue
-        seen.add(first)
-        pids, cells = [first], [0]
-        taken = {0}
-        for pid, cell in zip(pids, cells):  # the lists are the queue: zip sees what is appended
-            for step, other in zip(steps, links[pid]):
-                if other >= 0 and other not in seen:
-                    at = cell + step
-                    if at not in taken:
-                        taken.add(at)
-                        seen.add(other)
-                        pids.append(other)
-                        cells.append(at)
-        if len(pids) > 1:
-            root[pids], off[pids] = first, cells
-        else:  # every piece linked to it was attached before
-            seen.discard(first)
 
 
 def core_guesses(comp: PartialAssembly, n: int, k: int) -> list[Coord]:

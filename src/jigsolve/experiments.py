@@ -114,6 +114,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if (self.qs is None) == (self.alphas is None):
             raise ValueError("give exactly one of qs or alphas")
+        if not (self.qs or self.alphas):
+            raise ValueError("the q rule lists no value")
         if not self.ns or self.trials < 1 or self.k < 1 or self.budget < 1:
             raise ValueError("all sweep parameters must be positive")
         if not 0 <= self.master_seed <= MASK64:
@@ -179,6 +181,10 @@ def parse_config(text: str) -> dict[str, str]:
 
 def config_from_options(options: dict[str, str]) -> SweepConfig:
     """Build a SweepConfig from string options (file or CLI overrides)."""
+    known = ("n", "q", "alpha", "k", "trials", "seed", "budget")
+    for key in options:
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}; known: {', '.join(known)}")
 
     def ints(key: str) -> tuple[int, ...] | None:
         if key not in options:

@@ -16,6 +16,7 @@ from jigsolve.assemble import (
 from jigsolve.gen import generate
 from jigsolve.grid import disassemble, is_feasible, positions_row_major
 from jigsolve.oracle import LimitExceededError, enumerate_feasible_assemblies
+from jigsolve.windows import candidate_neighborhoods
 from helpers import claimed_candidates, component, component_cells
 
 
@@ -54,36 +55,89 @@ def test_join_offset_conflict():
             4: (89, 90, 3, 91),
         },
     )
-    # the join drops the colliding link
+    # the component is not rigid, so none of its pieces is joined
     comps = mutual_components(cands)
-    assert comps[0].size == 4
-    assert set(comps[0].pid.tolist()) == {0, 1, 2, 3}
-    assert {c.size for c in comps[1:]} == {1}
+    assert len(comps) == 92
+    assert [c.pid.tolist() for c in comps] == [[p] for p in range(92)]
 
 
-def walked_components(cands):
-    """The components of the breadth-first walk run from every linked
-    piece, in ``mutual_components`` order, each as a set of (pid, x, y)."""
-    stable = cands.stable
-    num = len(stable)
+def test_join_leaves_a_generated_conflict_unjoined():
+    # the one generated bag seen whose mutual links do not form a rigid component
+    n, k = 6, 1
+    bag, _ = disassemble(generate(n, 15, 1), 2)
+    cands = candidate_neighborhoods(bag, k)
+    conflicted = [p for cells, rigid in link_components(cands) if not rigid for p in cells]
+    assert len(conflicted) == 17
+    comps = mutual_components(cands)
+    assert all(c.size == 1 for c in comps)  # the conflicted pieces are all the linked ones
+    assert solve(bag, n, k, candidates=cands).failure == "multiple_candidates"
+
+
+def test_join_long_chain_beside_a_square():
+    # a straight chain of right links over nearly every id, its smallest id
+    # 20 cells from the left end so places run both ways, beside a 2x2
+    # square: both are rigid and both join
+    num = 300
+    ids = np.random.default_rng(5).permutation(num).tolist()
+    chain, square = ids[:296], ids[296:]
+    claims = {p: [-1, -1, -1, -1] for p in ids}
+    for left, right in zip(chain, chain[1:]):
+        claims[left][0], claims[right][2] = right, left
+    a, b, c, d = square  # a and b sit above c and d
+    for low, high in ((c, a), (d, b)):
+        claims[low][1], claims[high][3] = high, low
+    for left, right in ((a, b), (c, d)):
+        claims[left][0], claims[right][2] = right, left
+    comps = mutual_components(claimed_candidates(num, claims))
+    assert [comp.size for comp in comps] == [296, 4]
+    assert component_cells(comps[0]) == {(x, 0): p for x, p in enumerate(chain)}
+    assert component_cells(comps[1]) == {(0, 0): c, (1, 0): d, (0, 1): a, (1, 1): b}
+
+
+def link_components(cands):
+    """Each component of the mutual-link graph, in order of its smallest id,
+    as its pieces' cells (a dict, placed breadth first from that id at
+    (0, 0)) and whether it is rigid: every link steps where its far piece
+    was placed and no two pieces share a cell."""
+    stable = cands.stable.tolist()
     links = {}
-    for p, row in enumerate(stable.tolist()):
-        row = [o if o >= 0 and stable[o, d ^ 2] == p else -1 for d, o in enumerate(row)]
+    for p, row in enumerate(stable):
+        row = [o if o >= 0 and stable[o][d ^ 2] == p else -1 for d, o in enumerate(row)]
         if max(row) >= 0:
             links[p] = row
-    width = 2 * num + 1
-    root, off = np.arange(num), np.zeros(num, dtype=np.int64)
-    assemble._breadth_first(links, width, root, off)
-    groups = {}
-    for p in range(num):
-        x = (int(off[p]) + width // 2) // width
-        groups.setdefault(int(root[p]), []).append((p, x, int(off[p]) - x * width))
+    placed, out = set(), []
+    for first in sorted(links):
+        if first in placed:
+            continue
+        cells, rigid = {first: (0, 0)}, True
+        queue = [first]
+        for p in queue:  # the list is the queue: iteration sees what is appended
+            x, y = cells[p]
+            for (dx, dy), o in zip(((1, 0), (0, 1), (-1, 0), (0, -1)), links[p]):
+                if o < 0:
+                    continue
+                if o not in cells:
+                    cells[o] = (x + dx, y + dy)
+                    queue.append(o)
+                elif cells[o] != (x + dx, y + dy):
+                    rigid = False
+        placed.update(cells)
+        out.append((cells, rigid and len(set(cells.values())) == len(cells)))
+    return out
+
+
+def expected_components(cands):
+    """The join's result by :func:`link_components`, in ``mutual_components``
+    order, each component as a set of (pid, x, y): rigid components start at
+    (0, 0); every other piece is a singleton."""
     comps = []
-    for first, members in sorted(groups.items(), key=lambda g: (-len(g[1]), g[0])):
-        if len(members) > 1:
-            low_x, low_y = min(x for _, x, _ in members), min(y for _, _, y in members)
-            comps.append({(p, x - low_x, y - low_y) for p, x, y in members})
-    return comps + [{(p, 0, 0)} for p in sorted(g[0][0] for g in groups.values() if len(g) == 1)]
+    for cells, rigid in link_components(cands):
+        if rigid:
+            low_x, low_y = min(x for x, _ in cells.values()), min(y for _, y in cells.values())
+            comps.append({(p, x - low_x, y - low_y) for p, (x, y) in cells.items()})
+    comps.sort(key=lambda c: (-len(c), min(c)))
+    joined = {p for c in comps for p, _, _ in c}
+    return comps + [{(p, 0, 0)} for p in range(len(cands.stable)) if p not in joined]
 
 
 @st.composite
@@ -92,7 +146,8 @@ def corrupted_claims(draw, mode):
     corruption: ``clean``, ``one_directional`` (claims naming a piece
     that never claims back), ``conflict`` (the offset-conflict gadget),
     ``ring`` (a closed ring of right links) or ``teleport`` (a mutual
-    link between two lattice pieces)."""
+    link between two lattice pieces). Returns the number of pieces, the
+    claims, each lattice piece's (lattice, x, y) and the gadget's ids."""
     cells = []  # (lattice, x, y) of every piece; None for the extra pieces
     for lattice in range(draw(st.integers(1, 3))):
         w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -124,34 +179,27 @@ def corrupted_claims(draw, mode):
             else:
                 b = draw(st.sampled_from(talkers))
                 claims[a][d], claims[b][d ^ 2] = b, a
-    return num, claims
+    return num, claims, {pid: cell for cell, pid in at.items()}, extra
 
 
 @pytest.mark.parametrize("mode", ["clean", "one_directional", "conflict", "ring", "teleport"])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_join_matches_breadth_first_walk(mode, data):
-    num, claims = data.draw(corrupted_claims(mode))
+    num, claims, home, gadget = data.draw(corrupted_claims(mode))
     cands = claimed_candidates(num, claims)
-    walked = []
-    walk = assemble._breadth_first
-
-    def spy(links, *args):
-        walked.append(len(links))
-        return walk(links, *args)
-
-    assemble._breadth_first = spy
-    try:
-        comps = mutual_components(cands)
-    finally:
-        assemble._breadth_first = walk
-    assert [set(zip(c.pid.tolist(), c.x.tolist(), c.y.tolist())) for c in comps] == walked_components(cands)
+    comps = mutual_components(cands)
+    assert [set(zip(c.pid.tolist(), c.x.tolist(), c.y.tolist())) for c in comps] == expected_components(cands)
     assert all((np.diff(c.pid) > 0).all() for c in comps)
-    # rigid components skip the walk; a gadget that closes a cycle off the lattice takes it
-    if mode in ("clean", "one_directional"):
-        assert walked == [0]
-    elif mode in ("conflict", "ring"):
-        assert walked[0] > 0
+    joined = [c for c in comps if c.size > 1]
+    # a gadget that closes a cycle off the lattice is never joined
+    assert not {p for c in joined for p in c.pid.tolist()} & set(gadget)
+    if mode == "clean":  # each component sits as planted, up to a translation
+        assert sum(c.size for c in joined) == sum(len(cells) for cells, _ in link_components(cands))
+        for c in joined:
+            lattice, hx, hy = zip(*(home[p] for p in c.pid.tolist()))
+            assert len(set(lattice)) == 1
+            assert len(set(zip(np.subtract(hx, c.x).tolist(), np.subtract(hy, c.y).tolist()))) == 1
 
 
 def planted_claims(n, seed, shuffle_seed):
@@ -234,8 +282,6 @@ def test_core_guess_count_bound():
         n, q = 8, 4096
         p = generate(n, q, seed=seed)
         bag, _ = disassemble(p, seed)
-        from jigsolve.windows import candidate_neighborhoods
-
         comps = mutual_components(candidate_neighborhoods(bag, 1))
         guesses = core_guesses(comps[0], n, 1)
         assert len(guesses) <= 4
@@ -318,8 +364,6 @@ def test_solve_rejects_bad_arguments():
 
 
 def test_solve_rejects_candidates_of_another_bag():
-    from jigsolve.windows import candidate_neighborhoods
-
     small, _ = disassemble(generate(6, 500, seed=1), 2)
     big, _ = disassemble(generate(8, 500, seed=1), 2)
     with pytest.raises(ValueError, match="candidates cover 64 pieces; the bag holds 36"):
@@ -396,8 +440,6 @@ def test_component_offsets_match_planted_translation():
     n = 8
     p = generate(n, n**3, seed=6)
     bag, planted = disassemble(p, 26)
-    from jigsolve.windows import candidate_neighborhoods
-
     comps = mutual_components(candidate_neighborhoods(bag, 1))
     largest = comps[0]
     where = {pid: v for v, pid in planted.placement.items()}
@@ -468,8 +510,10 @@ def test_solve_determinism():
 #: cases of :func:`_shell_growth_records`. It covers every bag whose
 #: windows fit 10^6 candidate rows as :func:`jigsolve.windows.window_rows`
 #: counts them (the domino tables and each step's rows), the n=12 q=16
-#: k=1 bags included, so a change of that count moves it.
-SHELL_GROWTH_SHA256 = "4d48bc305a69886921b156297fe7a239976abc5b946a82036c33c6b59793e8c5"
+#: k=1 bags included, so a change of that count moves it. The link graph
+#: of the n=6 q=15 s=1 k=1 bag is not rigid, so a change of the join rule
+#: moves it too.
+SHELL_GROWTH_SHA256 = "7daaad72dd4a10cbe284c44621b28ec22f1dc62a5abfa24219bcc9646c9aff5b"
 
 
 def _shell_growth_records(monkeypatch) -> list[str]:
@@ -482,7 +526,7 @@ def _shell_growth_records(monkeypatch) -> list[str]:
     """
     import json
 
-    from jigsolve.windows import BudgetExceededError, Candidates, candidate_neighborhoods
+    from jigsolve.windows import BudgetExceededError, Candidates
 
     records = []
     grow = assemble.assemble_shells

@@ -350,9 +350,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfgfile), "--set", "n30", "--out", str(out)]) == 2
     assert "bad --set override: 'n30'" in capsys.readouterr().err
     # a q rule with no positive finite q is rejected before --out is opened
-    for rule in ("q=0", f"q={2**63}", "alpha=inf", "alpha=1000"):
+    for rule in ("q=0", f"q={2**63}", "alpha=inf", "alpha=1000", "q=", "alpha=,"):
         assert main(["sweep", "--set", "n=30", "--set", rule, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+    # so is a key the config does not know, from a file or from --set
+    cfgfile.write_text("n = 8\nq = 40\ntrails = 3\n")
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config key 'trails'")
+    for typo in ("budgte=5", "sead=9"):
+        assert main(["sweep", "--set", "n=8", "--set", "q=40", "--set", typo, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: unknown config key {typo.split('=')[0]!r}")
     assert not out.exists()
 
 

@@ -83,6 +83,14 @@ def test_sweep_config_validation():
     for alpha in (math.inf, 1000.0, math.nan):
         with pytest.raises(ValueError, match="no finite q"):
             SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, alphas=(alpha,))
+    for rule in ({"qs": ()}, {"alphas": ()}):
+        with pytest.raises(ValueError, match="lists no value"):
+            SweepConfig(ns=(8,), k=1, trials=1, master_seed=0, **rule)
+    for options in ({"n": "8", "q": ""}, {"n": "8", "alpha": ","}):
+        with pytest.raises(ValueError, match="lists no value"):
+            config_from_options(options)
+    with pytest.raises(ValueError, match="unknown config key 'trails'"):
+        config_from_options({"n": "8", "q": "40", "trails": "3"})
     cfg = SweepConfig(ns=(8,), k=1, trials=2, master_seed=0, alphas=(1.0, 2.0))
     assert cfg.cells() == [(8, 8), (8, 64)]
 
