@@ -3,13 +3,12 @@
 Given per-piece candidate statuses, mutually confirmed neighbor claims are
 joined into rigid components. Each placement of a core-sized square that
 covers the most cells of the largest component is tried in turn, growing
-the periphery ring by ring from unique color matches. A solve succeeds only
+the periphery ring by ring from forced placements. A solve succeeds only
 when a complete placement passes the independent feasibility check.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +149,7 @@ def core_guesses(comp: PartialAssembly, n: int, k: int) -> list[Coord]:
     (just the square at (0, 0) along an axis narrower than the core). A
     fully occupied square wins whenever one exists. Otherwise the
     component carries holes where window evidence was ambiguous; the
-    missing core pieces are recovered later by the shell rules (a hole
+    missing core pieces are recovered later by the shell rule (a hole
     specifies up to four free edges).
     """
     m = n - 2 * k
@@ -192,21 +191,26 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
     central square. The unplaced pieces are indexed by color alone: each
     color maps to the ascending ids of the pieces holding it, an id once
     per distinct color, and placed ids are skipped through a free flag.
-    Two greedy rules alternate to a fixed point, innermost open cells
-    first (so shells emerge in order):
 
-    * fill: an open cell adjacent to at least two placed pieces takes the
-      unique remaining piece matching all its specified free edges; cells
-      with several matches wait for the pool to shrink; a cell with no
-      match means the guess is wrong.
-    * seed: when no fill makes progress, the free edges of placed pieces
-      are scanned (innermost cell first, sides in right/up/left/down
-      order) for a color occurring exactly once among all jigs of the
-      remaining pieces: one remaining piece holds it, on one side. That
-      piece is placed if it matches every free edge of the cell.
+    One rule runs to a fixed point, scanning the open cells innermost
+    first (so shells emerge in order): a cell with at least one placed
+    neighbor takes the free piece matching the colors of all its placed
+    neighbors when exactly one does, and waits while several do; a cell
+    no free piece matches means the guess is wrong.
 
-    Raises :class:`ShellStuck` when neither rule applies and open cells
-    remain.
+    Every placement is the only free piece that fits. So when some grid
+    whose adjacent edges all match agrees with every placed piece, each
+    placement agrees with it too: from a correct core the result is the
+    planted grid or :class:`ShellStuck`, never a wrong grid. The same
+    holds against any rule that places only forced pieces, such as one
+    that waits for two placed neighbors or one that places the only free
+    piece holding a color: at the first of its moves that this rule has
+    not made, this rule sees fewer free pieces and more placed neighbors,
+    so that single match stands. Whatever such a rule completes, this one
+    completes to the same grid; only the order of placements can differ.
+
+    Raises :class:`ShellStuck` when a cell has no match, or when a pass
+    places nothing while open cells remain.
     """
     n = bag.n
     partial = np.asarray(partial)
@@ -225,24 +229,22 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
     unplaced[placed] = False
     free = bytearray(unplaced)
     # the board inside a border of open cells, flat: place[j * (n + 2) + i]
-    # holds position (i, j), and known[...] counts its placed neighbors
+    # holds position (i, j)
     width = n + 2
     offsets = [di + dj * width for di, dj in STEPS]
     place = np.full((width, width), -1, dtype=np.int64)
     place[1:-1, 1:-1] = partial
-    filled = (place >= 0).astype(np.int64)
-    known = np.zeros_like(place)
-    known[1:-1, 1:-1] = filled[1:-1, 2:] + filled[2:, 1:-1] + filled[1:-1, :-2] + filled[:-2, 1:-1]
+    filled = place >= 0
+    enclosed = filled[1:-1, 2:] & filled[2:, 1:-1] & filled[1:-1, :-2] & filled[:-2, 1:-1]
     # the colors read: the unplaced pieces' and those of placed pieces with
     # a neighbor cell open or off the board
     free_ids = np.flatnonzero(unplaced)
-    read = np.concatenate((free_ids, partial[held & (known[1:-1, 1:-1] < 4)]))
+    read = np.concatenate((free_ids, partial[held & ~enclosed]))
     colors = dict(zip(read.tolist(), bag.colors[read].tolist()))
     holders: dict[int, list[int]] = {}
     for pid in free_ids.tolist():
         for c in set(colors[pid]):
             holders.setdefault(c, []).append(pid)
-    known = known.ravel().tolist()
     place = place.ravel().tolist()
 
     js, is_ = np.nonzero(~held)
@@ -260,49 +262,30 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
         # placed neighbor, which shows that color on its side ``side ^ 2``
         return [(d, colors[pid][d ^ 2]) for d, pid in enumerate([place[at + off] for off in offsets]) if pid >= 0]
 
-    def matching(pids: Sequence[int], wanted: list[tuple[int, int]]) -> list[int]:
-        return [pid for pid in pids if free[pid] and all(colors[pid][d] == c for d, c in wanted)]
-
-    def put(at: int, pid: int) -> None:
-        place[at] = pid
-        free[pid] = 0
-        for off in offsets:
-            known[at + off] += 1
-
     while open_cells:
-        progress = False
+        waiting = None  # the first cell with several matches
         still_open: list[int] = []
         for at in open_cells:
-            if known[at] < 2:
-                still_open.append(at)  # fewer than two free edges specified
-                continue
             wanted = wanted_at(at)
-            matches = matching(holders.get(wanted[0][1], ()), wanted)
-            if len(matches) == 0:
-                raise stuck(at, "no matching piece")
-            if len(matches) > 1:
-                still_open.append(at)
-                continue
-            put(at, matches[0])
-            progress = True
+            if wanted:
+                matches = [
+                    pid
+                    for pid in holders.get(wanted[0][1], ())
+                    if free[pid] and all(colors[pid][d] == c for d, c in wanted)
+                ]
+                if not matches:
+                    raise stuck(at, "no matching piece")
+                if len(matches) == 1:
+                    place[at] = matches[0]
+                    free[matches[0]] = 0
+                    continue
+                if waiting is None:
+                    waiting = at
+            still_open.append(at)
+        if len(still_open) == len(open_cells):
+            # some open cell borders a placed one, so a pass that places nothing has one waiting
+            raise stuck(waiting, "no cell is forced")
         open_cells = still_open
-        if progress or not open_cells:
-            continue
-
-        seeded = None
-        for at in open_cells:
-            wanted = wanted_at(at)
-            for _, color in wanted:
-                lone = [pid for pid in holders.get(color, ()) if free[pid]]
-                if len(lone) == 1 and colors[lone[0]].count(color) == 1 and matching(lone, wanted):
-                    seeded = at, lone[0]
-                    break
-            if seeded:
-                break
-        if seeded is None:
-            raise stuck(open_cells[0], "no unique fill or seed")
-        put(*seeded)
-        open_cells.remove(seeded[0])
 
     assert not any(free), "every piece must be placed"
     return Assembly(np.reshape(place, (width, width))[1:-1, 1:-1])
