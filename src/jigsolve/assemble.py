@@ -62,61 +62,96 @@ def mutual_components(cands: Candidates) -> list[PartialAssembly]:
     piece's stable claim in direction ``d ^ 2`` is ``p``. With no
     multiple statuses this is exactly the unique-neighborhood join.
 
-    A union-find over the links places each piece relative to its graph
-    component's smallest id. A graph component is joined when those
-    places agree with every link and no two of its pieces share a cell;
-    otherwise its pieces stay singletons. Components start at (0, 0),
-    list their ids ascending, and are sorted largest first, then by
-    smallest id; singletons follow, ascending.
+    A union-find over the right and up links places each piece relative
+    to a root of its graph component (see :func:`_union_find`). A graph
+    component is joined when those places agree with every link and no
+    two of its pieces share a cell; otherwise its pieces stay singletons.
+    Neither test, nor anything returned, depends on which piece is the
+    root. Components start at (0, 0), list their ids ascending, and are
+    sorted largest first, then by smallest id; singletons follow,
+    ascending.
     """
     stable = cands.stable
     num = len(stable)
-    far = np.maximum(stable, 0)  # a -1 claim reads piece 0 here and is masked below
-    back = stable[far, [2, 3, 0, 1]]  # back[p, d] = stable[stable[p, d], d ^ 2]
-    linked = np.where((stable >= 0) & (back == np.arange(num)[:, None]), stable, -1)
+    # every right claim, then every up claim, is a link when the far
+    # piece's left or down claim names it back: each link once, from its
+    # left or lower end
+    ahead = stable[:, :2].T.ravel()
+    back = stable.ravel()[np.maximum(ahead, 0) * 4 + np.repeat([2, 3], num)]  # a -1 claim reads piece 0 and is masked
+    at = np.flatnonzero((ahead >= 0) & (back == np.tile(np.arange(num), 2)))
+    src, dst = at % num, ahead[at]
     # a cell (x, y) relative to a root is packed as x * width + y, so cells add
     width = 2 * num + 1
-    src, col = np.nonzero(linked[:, :2] >= 0)  # right and up: each link once
-    dst = linked[src, col]
-    step = np.where(col == 0, width, 1)
+    step = np.where(at < num, width, 1)
     root, off = _union_find(num, src, dst, step)
-
     # a graph component is rigid when every link steps where the union-find
     # put its far piece and no two pieces share a cell
-    members = np.flatnonzero((linked >= 0).any(axis=1))
     bad = np.zeros(num, dtype=bool)
     bad[root[src[off[dst] - off[src] != step]]] = True
-    ranked = members[np.lexsort((off[members], root[members]))]
-    shared = (root[ranked[1:]] == root[ranked[:-1]]) & (off[ranked[1:]] == off[ranked[:-1]])
-    bad[root[ranked[1:][shared]]] = True
-    members = members[~bad[root[members]]]
 
+    linked = np.zeros(num, dtype=bool)
+    linked[src] = linked[dst] = True
+    members = np.flatnonzero(linked)
     pid = members[np.argsort(root[members], kind="stable")]  # grouped by root, ascending within
-    starts = np.flatnonzero(np.diff(root[pid], prepend=-1))
+    home = root[pid]
+    starts = np.flatnonzero(np.diff(home, prepend=-1))
     sizes = np.diff(starts, append=len(pid))
     x = (off[pid] + width // 2) // width  # |y| <= width // 2, so this rounds to x
     y = off[pid] - x * width
     x -= np.repeat(np.minimum.reduceat(x, starts), sizes)
     y -= np.repeat(np.minimum.reduceat(y, starts), sizes)
-    spans = [slice(starts[c], starts[c] + sizes[c]) for c in np.lexsort((pid[starts], -sizes))]
+    # a tree of s pieces spans at most s columns and s rows, so x * s + y
+    # numbers its cells; each component's numbers start past those before
+    area = sizes * sizes
+    cell = np.repeat(np.cumsum(area) - area, sizes) + x * np.repeat(sizes, sizes) + y
+    ranked = np.argsort(cell)
+    bad[home[ranked[1:][cell[ranked[1:]] == cell[ranked[:-1]]]]] = True
+
+    good = np.flatnonzero(~bad[home[starts]])
+    spans = [slice(starts[c], starts[c] + sizes[c]) for c in good[np.lexsort((pid[starts[good]], -sizes[good]))]]
     comps = [PartialAssembly(pid[at], x[at], y[at]) for at in spans]
-    alone = np.flatnonzero(np.bincount(pid, minlength=num) == 0)
+    alone = np.ones(num, dtype=bool)
+    alone[pid[~bad[home]]] = False
     origin = np.zeros(1, dtype=np.int64)
-    return comps + [PartialAssembly(alone[c : c + 1], origin, origin) for c in range(len(alone))]
+    return comps + [PartialAssembly(one, origin, origin) for one in np.flatnonzero(alone)[:, None]]
 
 
 def _union_find(num: int, src: np.ndarray, dst: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's root, the smallest id of its graph component under the
-    links ``src -> dst``, and its packed place relative to that root when
-    each link moves by ``step``, along a spanning tree of the links.
+    """Each node's root in its graph component under the links
+    ``src -> dst``, and its packed place relative to that root when each
+    link moves by ``step``, along a spanning tree of the links.
 
-    Hook and jump: each round, every link between two trees hooks the
-    larger root onto the smaller, one link winning per hooked root; hooked
-    roots jump to their new roots, then every node to its root's.
+    The forest starts with every node that a link from another node
+    reaches hanging off one such link, so its parent and offset come from
+    the same link. Pointer jumping then takes each node to the end of its
+    chain in at most ``num.bit_length()`` rounds; a node whose chain never
+    ends sits on or under a cycle of chosen links and starts alone at
+    offset 0. Hook and jump joins the trees left: each round, every link
+    between two trees hooks the larger root onto the smaller, one link
+    winning per hooked root; hooked roots jump to their new roots, then
+    every node to its root's. A component in which a link reaches every
+    piece but one, such as a complete rectangle, is one tree from the
+    start, and no link lies between trees.
     """
     par = np.arange(num)
     off = np.zeros(num, dtype=np.int64)
     slot = np.empty(num, dtype=np.int64)
+    # which write wins, here and in each hook, does not matter: a rigid
+    # component's places do not depend on the tree
+    links = np.arange(len(dst))
+    slot[dst] = links
+    won = np.flatnonzero((slot[dst] == links) & (src != dst))
+    kids = dst[won]
+    par[kids] = src[won]
+    off[kids] = step[won]
+    hung = np.zeros(num, dtype=bool)
+    hung[kids] = True
+    for _ in range(num.bit_length()):
+        off += off[par]
+        par = par[par]
+    lost = np.flatnonzero(hung[par])  # a chain that ends, ends at a node hanging off nothing
+    par[lost] = lost
+    off[lost] = 0
     while True:
         ra, rb = par[src], par[dst]
         cross = np.flatnonzero(ra != rb)  # integer indices: masks over scattered hits are slower
@@ -125,7 +160,6 @@ def _union_find(num: int, src: np.ndarray, dst: np.ndarray, step: np.ndarray) ->
         src, dst, step, ra, rb = src[cross], dst[cross], step[cross], ra[cross], rb[cross]
         gap = off[src] + step - off[dst]  # the place of rb relative to ra
         hi = np.maximum(ra, rb)
-        # which write wins does not matter: a rigid component's places do not depend on the tree
         slot[hi] = np.arange(len(hi))
         won = np.flatnonzero(slot[hi] == np.arange(len(hi)))
         hooked = hi[won]
@@ -188,9 +222,10 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
 
     ``partial`` holds piece ids like :attr:`Assembly.grid`, with -1 for
     every open cell; the placed ids must be distinct and lie in the
-    central square. The unplaced pieces are indexed by color alone: each
-    color maps to the ascending ids of the pieces holding it, an id once
-    per distinct color, and placed ids are skipped through a free flag.
+    central square. The unplaced pieces are indexed by side and color:
+    each (side, color) maps to the pieces holding that color on that
+    side, and placed ids are skipped through a free flag. A cell reads
+    its neighbors' colors from the placed pieces around it.
 
     One rule runs to a fixed point, scanning the open cells innermost
     first (so shells emerge in order): a cell with at least one placed
@@ -228,56 +263,54 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
     unplaced = np.ones(n * n, dtype=bool)
     unplaced[placed] = False
     free = bytearray(unplaced)
-    # the board inside a border of open cells, flat: place[j * (n + 2) + i]
-    # holds position (i, j)
+    colors = dict(zip(np.flatnonzero(unplaced).tolist(), bag.colors[unplaced].tolist()))
+    holders: tuple[dict[int, list[int]], ...] = ({}, {}, {}, {})  # per side: color -> pieces
+    for pid, row in colors.items():
+        for d, c in enumerate(row):
+            holders[d].setdefault(c, []).append(pid)
+
+    # the board inside a border of open cells, flat: cell j * (n + 2) + i is
+    # position (i, j); ``shows[at]`` holds the colors of the piece placed
+    # there, set for every placed piece with a neighbor cell open or off the board
     width = n + 2
-    offsets = [di + dj * width for di, dj in STEPS]
-    place = np.full((width, width), -1, dtype=np.int64)
-    place[1:-1, 1:-1] = partial
-    filled = place >= 0
+    filled = np.zeros((width, width), dtype=bool)
+    filled[1:-1, 1:-1] = held
     enclosed = filled[1:-1, 2:] & filled[2:, 1:-1] & filled[1:-1, :-2] & filled[:-2, 1:-1]
-    # the colors read: the unplaced pieces' and those of placed pieces with
-    # a neighbor cell open or off the board
-    free_ids = np.flatnonzero(unplaced)
-    read = np.concatenate((free_ids, partial[held & ~enclosed]))
-    colors = dict(zip(read.tolist(), bag.colors[read].tolist()))
-    holders: dict[int, list[int]] = {}
-    for pid in free_ids.tolist():
-        for c in set(colors[pid]):
-            holders.setdefault(c, []).append(pid)
-    place = place.ravel().tolist()
+    js, is_ = np.nonzero(held & ~enclosed)
+    shows: list[list[int] | None] = [None] * (width * width)
+    for at, row in zip(((js + 1) * width + is_ + 1).tolist(), bag.colors[partial[js, is_]].tolist()):
+        shows[at] = row
+    # (side, step, opposite): the neighbor across a cell's side shows its color on the opposite side
+    around = [(d, di + dj * width, d ^ 2) for d, (di, dj) in enumerate(STEPS)]
 
     js, is_ = np.nonzero(~held)
     shell, side, along = _ring(is_ + 1, js + 1, n, k)
-    order = np.lexsort((along, side, shell))
-    open_cells = ((js[order] + 1) * width + is_[order] + 1).tolist()
-    ring_of = dict(zip(open_cells, zip(shell[order].tolist(), side[order].tolist())))
+    open_cells = ((js + 1) * width + is_ + 1)[np.lexsort((along, side, shell))].tolist()
+    put_at: list[int] = []
+    put_pid: list[int] = []
 
     def stuck(at: int, reason: str) -> ShellStuck:
-        shell, side = ring_of[at]
-        return ShellStuck(max(shell, 0), _SIDES[side], reason)
-
-    def wanted_at(at: int) -> list[tuple[int, int]]:
-        # a piece placed at ``at`` carries ``color`` on ``side`` for each
-        # placed neighbor, which shows that color on its side ``side ^ 2``
-        return [(d, colors[pid][d ^ 2]) for d, pid in enumerate([place[at + off] for off in offsets]) if pid >= 0]
+        shell, side, _ = _ring(at % width, at // width, n, k)
+        return ShellStuck(max(int(shell), 0), _SIDES[int(side)], reason)
 
     while open_cells:
         waiting = None  # the first cell with several matches
         still_open: list[int] = []
         for at in open_cells:
-            wanted = wanted_at(at)
+            wanted = [(d, row[o]) for d, step, o in around if (row := shows[at + step]) is not None]
             if wanted:
+                d0, c0 = wanted[0]
                 matches = [
-                    pid
-                    for pid in holders.get(wanted[0][1], ())
-                    if free[pid] and all(colors[pid][d] == c for d, c in wanted)
+                    pid for pid in holders[d0].get(c0, ()) if free[pid] and all(colors[pid][d] == c for d, c in wanted)
                 ]
                 if not matches:
                     raise stuck(at, "no matching piece")
                 if len(matches) == 1:
-                    place[at] = matches[0]
-                    free[matches[0]] = 0
+                    pid = matches[0]
+                    shows[at] = colors[pid]
+                    free[pid] = 0
+                    put_at.append(at)
+                    put_pid.append(pid)
                     continue
                 if waiting is None:
                     waiting = at
@@ -288,7 +321,10 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
         open_cells = still_open
 
     assert not any(free), "every piece must be placed"
-    return Assembly(np.reshape(place, (width, width))[1:-1, 1:-1])
+    grid = partial.copy()
+    at = np.array(put_at, dtype=np.int64)
+    grid[at // width - 1, at % width - 1] = put_pid
+    return Assembly(grid)
 
 
 def solve(

@@ -174,7 +174,19 @@ def _crowded_pair(sides: np.ndarray, limit: int) -> tuple[tuple[int, int], int] 
     """The smallest jig color pair ``(a, b)``, ``a <= b``, that more than
     ``limit`` of the pieces ``sides`` (one row of four colors each) hold
     among the six pairs of their colors, with the number of those pieces;
-    None when there is no such pair."""
+    None when there is no such pair.
+
+    At limit 0 every held pair is crowded, so the witness is the smallest
+    pair held: ``a`` is the lowest color of all, ``b`` the lowest
+    second-lowest color of a piece whose lowest color is ``a``, and the
+    pieces holding ``(a, b)`` are those whose two lowest colors are ``a``
+    and ``b``; it is counted directly.
+    """
+    if limit == 0:
+        a = sides.min()
+        second = np.sort(sides[(sides == a).any(axis=1)], axis=1)[:, 1]
+        b = second.min()
+        return (int(a), int(b)), int(np.count_nonzero(second == b))
     a, b = np.triu_indices(4, 1)
     colors = np.sort(sides, axis=1)
     ranks = colors
@@ -186,17 +198,12 @@ def _crowded_pair(sides: np.ndarray, limit: int) -> tuple[tuple[int, int], int] 
     starts = np.ones(colors.shape, dtype=bool)
     starts[:, 1:] = colors[:, 1:] != colors[:, :-1]
     first = starts[:, a] & (starts[:, b] | (b == a + 1))
-    held = keys[first]
-    if limit == 0:  # every held pair is crowded, so the smallest one is the witness
-        key = held.min()
-        count = int(np.count_nonzero(held == key))
-    else:
-        ranked = np.sort(held)
-        runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        counts = np.diff(runs, append=len(ranked))
-        over = np.flatnonzero(counts > limit)
-        if not len(over):
-            return None
-        key, count = ranked[runs[over[0]]], int(counts[over[0]])
+    ranked = np.sort(keys[first])
+    runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    counts = np.diff(runs, append=len(ranked))
+    over = np.flatnonzero(counts > limit)
+    if not len(over):
+        return None
+    key, count = ranked[runs[over[0]]], int(counts[over[0]])
     e = int(np.flatnonzero(keys.ravel() == key)[0])
     return (int(colors[:, a].flat[e]), int(colors[:, b].flat[e])), count

@@ -145,14 +145,17 @@ def corrupted_claims(draw, mode):
     """Claims of planted lattices with holes, on shuffled ids, plus one
     corruption: ``clean``, ``one_directional`` (claims naming a piece
     that never claims back), ``conflict`` (the offset-conflict gadget),
-    ``ring`` (a closed ring of right links) or ``teleport`` (a mutual
+    ``ring`` (a closed ring of right links, a single piece linking to
+    itself at size 1, with a chain of up links hanging from one ring
+    piece, so that pieces sit under a cycle) or ``teleport`` (a mutual
     link between two lattice pieces). Returns the number of pieces, the
     claims, each lattice piece's (lattice, x, y) and the gadget's ids."""
     cells = []  # (lattice, x, y) of every piece; None for the extra pieces
     for lattice in range(draw(st.integers(1, 3))):
         w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
         cells += [(lattice, x, y) for x in range(w) for y in range(h) if draw(st.integers(0, 9)) > 0]
-    gadget = {"conflict": 5, "ring": draw(st.integers(1, 4))}.get(mode, 0)
+    size, tail = (draw(st.integers(1, 4)), draw(st.integers(0, 3))) if mode == "ring" else (0, 0)
+    gadget = {"conflict": 5, "ring": size + tail}.get(mode, 0)
     num = len(cells) + gadget + 1  # the last piece never claims
     ids = draw(st.permutations(range(num)))
     at = {cell: ids[c] for c, cell in enumerate(cells)}
@@ -168,8 +171,12 @@ def corrupted_claims(draw, mode):
             {p0: [p1, p3, -1, -1], p1: [-1, p2, p0, -1], p2: [-1, -1, -1, p1], p3: [p4, -1, -1, p0], p4: [-1, -1, p3, -1]}
         )
     elif mode == "ring":
-        for c, pid in enumerate(extra):
-            claims[pid] = [extra[(c + 1) % gadget], -1, extra[c - 1], -1]
+        ring, chain = extra[:size], extra[size - 1 :]
+        for c, pid in enumerate(ring):
+            claims[pid] = [ring[(c + 1) % size], -1, ring[c - 1], -1]
+        for low, high in zip(chain, chain[1:]):
+            claims[high] = [-1, -1, -1, low]
+            claims[low][1] = high
     elif claims and mode in ("one_directional", "teleport"):
         talkers = sorted(claims)
         for _ in range(draw(st.integers(1, 3))):
@@ -194,8 +201,21 @@ def test_join_matches_breadth_first_walk(mode, data):
     joined = [c for c in comps if c.size > 1]
     # a gadget that closes a cycle off the lattice is never joined
     assert not {p for c in joined for p in c.pid.tolist()} & set(gadget)
+    # the union-find behind the join: every root is its own root at place 0,
+    # one root per link component, and a rigid component's links step as placed
+    stable = cands.stable.tolist()
+    links = [(p, o, d) for p, row in enumerate(stable) for d in (0, 1) if (o := row[d]) >= 0 and stable[o][d + 2] == p]
+    src, dst, side = np.array(links, dtype=np.int64).reshape(-1, 3).T
+    width = 2 * num + 1
+    root, off = assemble._union_find(num, src, dst, np.where(side == 0, width, 1))
+    assert (root[root] == root).all() and (off[root] == 0).all()
+    linked = link_components(cands)
+    roots = [{root[p] for p in cells} for cells, _ in linked]
+    assert all(len(r) == 1 for r in roots) and len(set().union(*roots)) == len(roots)
+    rigid = {p for cells, ok in linked if ok for p in cells}
+    assert all(off[b] - off[a] == (width if d == 0 else 1) for a, b, d in links if a in rigid)
     if mode == "clean":  # each component sits as planted, up to a translation
-        assert sum(c.size for c in joined) == sum(len(cells) for cells, _ in link_components(cands))
+        assert sum(c.size for c in joined) == sum(len(cells) for cells, _ in linked)
         for c in joined:
             lattice, hx, hy = zip(*(home[p] for p in c.pid.tolist()))
             assert len(set(lattice)) == 1
@@ -492,44 +512,18 @@ def test_component_offsets_match_planted_translation():
 
 
 def test_property_iv_style_unique_fills():
-    # on a clean accepted puzzle the fill rule never sees two matches
+    # on a clean accepted puzzle the shell rule grows the planted core,
+    # with the ring around it open, back to the planted grid
     from jigsolve.typicality import check_typical
     from fractions import Fraction
 
-    n = 8
+    n, k = 8, 1
     p = generate(n, 10**6, seed=12)
-    assert check_typical(p, 1, c_prime=Fraction(1)).typical
+    assert check_typical(p, k, c_prime=Fraction(1)).typical
     bag, planted = disassemble(p, 40)
-    colors = bag.colors.tolist()
-    # place[j][i] holds position (i, j), inside a border of open cells
-    place = np.full((n + 2, n + 2), -1)
-    place[2:n, 2:n] = planted.grid[1 : n - 1, 1 : n - 1]
-    for i, j in ((4, 1), (n, 4), (4, n), (1, 4)):  # one seed per side
-        place[j, i] = planted.placement[(i, j)]
-    unplaced = sorted(set(range(n * n)) - set(place.ravel().tolist()))
-    place = place.ravel().tolist()  # place[j * (n + 2) + i]
-    offsets = [1, n + 2, -1, -(n + 2)]  # right, up, left, down
-    open_cells = [(i, j) for i, j in planted.placement if place[j * (n + 2) + i] < 0]
-    while open_cells:
-        placed = None
-        for cell in open_cells:
-            at = cell[1] * (n + 2) + cell[0]
-            # the neighbor across side d shows the wanted color on its side d ^ 2
-            wanted = [(d, colors[place[at + off]][d ^ 2]) for d, off in enumerate(offsets) if place[at + off] >= 0]
-            if len(wanted) < 2:
-                continue
-            matches = [pid for pid in unplaced if all(colors[pid][d] == c for d, c in wanted)]
-            assert len(matches) == 1, (cell, matches)
-            placed = (cell, matches[0])
-            break
-        assert placed is not None or not open_cells
-        if placed is None:
-            break
-        cell, pid = placed
-        place[cell[1] * (n + 2) + cell[0]] = pid
-        unplaced.remove(pid)
-        open_cells.remove(cell)
-        assert pid == planted.placement[cell]
+    partial = np.full((n, n), -1)
+    partial[k : n - k, k : n - k] = planted.grid[k : n - k, k : n - k]
+    assert (assemble_shells(bag, partial, k).grid == planted.grid).all()
 
 
 def test_solve_determinism():
