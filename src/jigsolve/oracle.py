@@ -131,6 +131,7 @@ def brute_force_window_rows(bag: PieceBag, k: int = 1) -> np.ndarray:
             fits[np.arange(len(block))[:, None], block] = False  # pieces already in the window
             parent, piece = np.nonzero(fits)  # by parent, then by piece id: the order stays ascending
             parts.append(np.column_stack((block[parent], piece.astype(rows.dtype))))
+        del block, rows  # the previous cell's rows go before the slices are joined
         rows = np.concatenate(parts)
     return rows
 

@@ -29,20 +29,25 @@ colors. A cell of the top row or the left column is thus never looked
 up by one color alone, which would multiply the rows by about N/q only
 for the next cell to divide them again.
 
-All partial windows grow one step at a time, breadth first in numpy,
-held as one array per cell. Each step sorts its keys, searches them in
-increasing order and scatters the runs back, which is several times
-faster than searching them as they come. Parents keep their order and
-entries keep theirs, so the rows are lexicographic in cell order: the
-same rows, in the same order, as placing one cell at a time.
+Partial windows grow one step at a time in numpy, held as one array
+per cell. Each step sorts its keys, searches them in increasing order
+and scatters the runs back, which is several times faster than searching
+them as they come. The walk is depth first, from an explicit stack: a
+step splits its parents into runs of about ``_CHUNK_ROWS`` candidate
+rows, and each run goes through every later step before the next run
+starts. So no step is held whole, only one extended run per step; the
+rows a step extends go once the last run cut from them is extended, and
+only finished windows are kept, joined once at the end. Parents keep
+their order and entries keep theirs, so the rows are lexicographic in
+cell order: the same rows, in the same order, as placing one cell at a
+time.
 
 The budget counts candidate rows before they are allocated: first both
 domino tables, each piece paired with every piece of its run (the
 horizontal table is the first step's rows), then for each later step
 every entry of the run that each row looks up, before the entries that
-repeat a piece of the row are dropped. More candidate rows than
-``_CHUNK_ROWS`` are expanded a run of parents at a time, which bounds
-the index temporaries and leaves the rows as they are.
+repeat a piece of the row are dropped. The total is the same however
+the parents are split into runs.
 
 The windows are one array, :func:`window_rows`; :func:`enumerate_windows`
 adapts it to a stream of :class:`WindowAssembly` tuples for the readers
@@ -64,7 +69,7 @@ from .grid import DOWN, LEFT, RIGHT, UP, PieceBag
 #: Default cap on candidate rows materialised by one enumeration.
 DEFAULT_BUDGET = 10**7
 
-#: A cell with more candidate rows than this is expanded in chunks of parents.
+#: Candidate rows of one run of parents, which the walk takes through every later step at once.
 _CHUNK_ROWS = 1 << 18
 
 
@@ -161,7 +166,7 @@ def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     ids = np.arange(npieces, dtype=dtype)
     runs = [_color_runs(facing, small[faced], stride) for facing, faced in ((right, LEFT), (down, UP))]
     charge(sum(int(cnt.sum()) for _, _, cnt in runs))
-    across, under = (_grow([ids], lo, cnt, (ids[by],)) for by, lo, cnt in runs)
+    across, under = (_extend([ids], lo, cnt, (ids[by],)) for by, lo, cnt in runs)
     single = _Index(small[UP], small[LEFT], (ids,), stride)
     pairs = _Index(small[UP][across[0]], small[UP][across[1]], across, stride)
     stacks = _Index(small[LEFT][under[0]], small[LEFT][under[1]], under, stride)
@@ -181,13 +186,30 @@ def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
         steps.append((pairs, down, slot[0, s - 1], down, slot[1, s - 1]))
         steps += [(single, down, slot[c, s - 1], right, slot[c - 1, s]) for c in range(2, s + 1)]
 
-    cols = list(across)  # the first two cells are every horizontal domino
-    for index, a, i, b, j in steps:
+    found: list[np.ndarray] = []
+    stack: list[tuple[int, list[np.ndarray], np.ndarray, np.ndarray]] = []
+
+    def split(t: int, cols: list[np.ndarray]) -> None:
+        """Keep a finished run's windows, or push its parents' runs for step ``t``."""
+        if t == len(steps):
+            assert len(cols) == side * side, "the steps must place every cell"
+            found.append(np.stack([cols[slot[c, r]] for r in range(side) for c in range(side)], axis=1))
+            return
+        index, a, i, b, j = steps[t]
         lo, cnt = index.runs(a[cols[i]] * stride + b[cols[j]])
         charge(int(cnt.sum()))
-        cols = _grow(cols, lo, cnt, index.ids)
-    assert len(cols) == side * side, "the steps must place every cell"
-    return np.stack([cols[slot[c, r]] for r in range(side) for c in range(side)], axis=1)
+        # a parent whose candidate rows reach a new multiple of _CHUNK_ROWS opens a run
+        edges = [0, *(np.flatnonzero(np.diff(np.cumsum(cnt) // _CHUNK_ROWS)) + 1).tolist(), len(cnt)]
+        for x, y in reversed(list(zip(edges, edges[1:]))):
+            stack.append((t, [col[x:y] for col in cols], lo[x:y], cnt[x:y]))
+
+    split(0, list(across))  # the first two cells are every horizontal domino
+    while stack:
+        t, cols, lo, cnt = stack.pop()
+        grown = _extend(cols, lo, cnt, steps[t][0].ids)
+        del cols, lo, cnt  # the last run of a step holds the last references to its parents
+        split(t + 1, grown)
+    return np.concatenate(found)
 
 
 def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[WindowAssembly]:
@@ -233,15 +255,6 @@ def _color_runs(facing: np.ndarray, faced: np.ndarray, stride: int) -> tuple[np.
     per = np.bincount(faced, minlength=stride)
     start = np.cumsum(per) - per
     return by, start[facing], per[facing]
-
-
-def _grow(cols: list[np.ndarray], lo: np.ndarray, cnt: np.ndarray, ids: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """:func:`_extend` a run of parents at a time, about ``_CHUNK_ROWS``
-    candidate rows each, which bounds its int64 temporaries."""
-    cuts = np.searchsorted(np.cumsum(cnt), np.arange(_CHUNK_ROWS, int(cnt.sum()), _CHUNK_ROWS))
-    edges = [0, *cuts.tolist(), len(lo)]
-    parts = [_extend([c[x:y] for c in cols], lo[x:y], cnt[x:y], ids) for x, y in zip(edges, edges[1:])]
-    return parts[0] if len(parts) == 1 else [np.concatenate(part) for part in zip(*parts)]
 
 
 def _extend(cols: list[np.ndarray], lo: np.ndarray, cnt: np.ndarray, ids: tuple[np.ndarray, ...]) -> list[np.ndarray]:

@@ -137,8 +137,8 @@ def test_budget_bounds_memory():
     # one color: every row extends by every piece, so the budget is all that
     # stops it. The domino tables are counted before they are built: at
     # n=60 they would hold 13 M pairs, at n=30 1.6 M, which a budget of
-    # 2 * 10^6 admits, so there both are built in chunks and the next step
-    # runs out.
+    # 2 * 10^6 admits, so there both are built whole, one extension each,
+    # and the first step runs out.
     for n, budget in ((30, 10**6), (30, 2 * 10**6), (60, 10**6)):
         bag, _ = disassemble(generate(n, 1, 0), 0)
         tracemalloc.start()
@@ -222,6 +222,10 @@ WINDOW_ROWS_SHA256 = {
     (30, 84, 2, 1): "a9e26adc57d99a8b91db21f86ede5ba9f3339cf20446dabb9296186bfd94c9a9",
     (30, 84, 3, 0): "29dd887f37e860ae30a6d78e5e576ca025b124425eaf20587fef1c2051902a5d",
     (30, 84, 3, 1): "d7a1cc94fc32b7286077ff6bcc113ed2e50739d53ad628a034eaae402292552b",
+    # the widest steps take 408,108 and 421,346 candidate rows, so at the
+    # default _CHUNK_ROWS their parents split into several runs
+    (24, 48, 2, 0): "a1689a3aa6ce58108d6222fd55ad41a73c734188fae6a441fd6b1f827ca96211",
+    (24, 48, 2, 1): "1b5082b50304169a4abc50ed4c90fa7557298b798c464b5c29a9565a2bbec67b",
 }
 
 
@@ -379,9 +383,11 @@ def test_perfbench_adapter_contract():
 
 
 def test_chunked_extension_keeps_the_stream(monkeypatch):
-    # cells past the chunk bound are expanded a few parents at a time,
-    # with the same rows in the same order; the stream only reads the
-    # rows, so it is compared once, across many of its 1024-row batches
+    # steps past the run bound split their parents into runs, each taken
+    # through every later step before the next (at 1, one parent with
+    # candidates per run), with the same rows in the same order; the stream
+    # only reads the rows, so it is compared once, across many of its
+    # 1024-row batches
     bag, _ = disassemble(generate(4, 3, seed=3), 5)
     rows = window_rows(bag, 1, budget=10**7)
     assert len(rows) > 10 * 1024
@@ -390,3 +396,30 @@ def test_chunked_extension_keeps_the_stream(monkeypatch):
     for chunk in (7, 1):
         monkeypatch.setattr(windows, "_CHUNK_ROWS", chunk)
         assert np.array_equal(window_rows(bag, 1, budget=10**7), rows)
+
+
+def test_deep_windows_take_no_recursion():
+    # k=16 places a 33x33 window in 1024 steps, one level each on the
+    # walk's stack; the only windows are the four planted ones
+    bag, planted = disassemble(generate(34, 10**6, 0), 1)
+    rows = window_rows(bag, 16)
+    top = planted.grid[::-1]  # row 0 on top, as in a window
+    blocks = [top[r : r + 33, c : c + 33].ravel().tolist() for r in (0, 1) for c in (0, 1)]
+    assert sorted(rows.tolist()) == sorted(blocks)
+
+
+def test_runs_bound_memory(monkeypatch):
+    # with runs of 2^12 candidate rows, no step is held whole: the peak
+    # stays below the two int64 index arrays (parent and entry) that the
+    # widest step, 145,609 candidate rows, would take in one piece
+    bag, _ = disassemble(generate(20, 40, 0), 1)
+    rows = window_rows(bag, 2)
+    monkeypatch.setattr(windows, "_CHUNK_ROWS", 1 << 12)
+    tracemalloc.start()
+    try:
+        chunked = window_rows(bag, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(chunked, rows)
+    assert peak < 145_609 * 16
