@@ -2,7 +2,6 @@
 
 from .grid import (
     Assembly,
-    Direction,
     EdgeId,
     PieceBag,
     Puzzle,
@@ -14,7 +13,6 @@ from .gen import generate, generate_variant
 
 __all__ = [
     "Assembly",
-    "Direction",
     "EdgeId",
     "PieceBag",
     "Puzzle",

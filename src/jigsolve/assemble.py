@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import STEPS, Assembly, Coord, PieceBag, is_feasible
+from .grid import DOWN, LEFT, STEPS, Assembly, Coord, PieceBag, check_radius, is_feasible
 from .windows import DEFAULT_BUDGET, BudgetExceededError, Candidates, candidate_neighborhoods
 
 
@@ -77,7 +77,8 @@ def mutual_components(cands: Candidates) -> list[PartialAssembly]:
     # piece's left or down claim names it back: each link once, from its
     # left or lower end
     ahead = stable[:, :2].T.ravel()
-    back = stable.ravel()[np.maximum(ahead, 0) * 4 + np.repeat([2, 3], num)]  # a -1 claim reads piece 0 and is masked
+    # a -1 claim reads piece 0 and is masked
+    back = stable.ravel()[np.maximum(ahead, 0) * 4 + np.repeat([LEFT, DOWN], num)]
     at = np.flatnonzero((ahead >= 0) & (back == np.tile(np.arange(num), 2)))
     src, dst = at % num, ahead[at]
     # a cell (x, y) relative to a root is packed as x * width + y, so cells add
@@ -186,9 +187,8 @@ def core_guesses(comp: PartialAssembly, n: int, k: int) -> list[Coord]:
     missing core pieces are recovered later by the shell rule (a hole
     specifies up to four free edges).
     """
+    check_radius(n, k)
     m = n - 2 * k
-    if m < 1:
-        raise ValueError("core size must be positive")
     width = max(int(comp.x.max()) + 1, m)
     height = max(int(comp.y.max()) + 1, m)
     # total[a, b] counts the cells with x < a and y < b
@@ -329,7 +329,6 @@ def assemble_shells(bag: PieceBag, partial: np.ndarray, k: int) -> Assembly:
 
 def solve(
     bag: PieceBag,
-    n: int,
     k: int,
     budget: int = DEFAULT_BUDGET,
     candidates: Candidates | None = None,
@@ -347,10 +346,8 @@ def solve(
     :func:`jigsolve.windows.candidate_neighborhoods`) may be supplied to
     avoid re-enumerating windows.
     """
-    if len(bag.colors) != n * n:
-        raise ValueError("bag size must be n^2")
-    if k < 1 or 2 * k >= n:
-        raise ValueError("need 1 <= k < n/2")
+    n = bag.n
+    check_radius(n, k)
 
     if candidates is None:
         try:

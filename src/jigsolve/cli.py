@@ -59,7 +59,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             planted = grid.read_assembly(fh)
         if planted.grid.shape != (bag.n, bag.n):
             raise ValueError(f"planted file: expected an assembly for n={bag.n}")
-    outcome = assemble.solve(bag, bag.n, args.k, args.budget)
+    outcome = assemble.solve(bag, args.k, args.budget)
     if not outcome.solved:
         print(f"failed: {outcome.failure}")
         return 1
@@ -120,8 +120,7 @@ def _cmd_typical(args: argparse.Namespace) -> int:
 def _cmd_candidates(args: argparse.Namespace) -> int:
     with open(args.infile) as fh:
         bag = grid.read_bag(fh)
-    if args.k < 1 or 2 * args.k >= bag.n:
-        raise ValueError("need 1 <= k < n/2")
+    grid.check_radius(bag.n, args.k)
     statuses = windows.candidate_neighborhoods(bag, args.k, args.budget)
     print(f"none: {int((statuses.windows == 0).sum())}")
     print(f"unique: {int(statuses.unique.sum())}")

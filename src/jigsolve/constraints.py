@@ -17,13 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .grid import Coord, Direction, EdgeId, Puzzle, edge_in_direction
+from .grid import RIGHT, STEPS, UP, Coord, EdgeId, Puzzle, edge_in_direction
 
 #: Absolute tolerance for comparisons involving square roots.
 SQRT_TOL = 1e-9
-
-_RIGHT_STEP = (1, 0)
-_UP_STEP = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ def tiles_of(wm: WindowMap) -> tuple[frozenset[Coord], ...]:
         remaining.discard(root)
         while frontier:
             (i, j) = frontier.pop()
-            for (di, dj) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            for (di, dj) in STEPS:
                 nb = (i + di, j + dj)
                 if nb in remaining:
                     remaining.discard(nb)
@@ -109,18 +106,13 @@ def build_constraint_graph(wm: WindowMap) -> tuple[ConstraintGraph, ConstraintSt
     edges: list[tuple[EdgeId, EdgeId]] = []
     for u in sorted(mapping):
         fu = mapping[u]
-        for step, out_dir, in_dir in (
-            (_RIGHT_STEP, Direction.RIGHT, Direction.LEFT),
-            (_UP_STEP, Direction.UP, Direction.DOWN),
-        ):
-            u2 = (u[0] + step[0], u[1] + step[1])
-            fu2 = mapping.get(u2)
-            if fu2 is None:
+        for d in (RIGHT, UP):
+            di, dj = STEPS[d]
+            fu2 = mapping.get((u[0] + di, u[1] + dj))
+            if fu2 is None or fu2 == (fu[0] + di, fu[1] + dj):  # no neighbor, or the same edge
                 continue
-            if fu2 == (fu[0] + step[0], fu[1] + step[1]):
-                continue
-            a = edge_in_direction(fu, out_dir)
-            b = edge_in_direction(fu2, in_dir)
+            a = edge_in_direction(fu, d)
+            b = edge_in_direction(fu2, d ^ 2)
             edges.append((a, b) if a <= b else (b, a))
 
     vertices = sorted({v for e in edges for v in e})
@@ -168,18 +160,14 @@ def window_map_feasible(wm: WindowMap, puzzle: Puzzle) -> bool:
     """
     mapping = wm.mapping
     for u, fu in mapping.items():
-        right = mapping.get((u[0] + 1, u[1]))
-        if right is not None:
-            a = puzzle.edge_color(edge_in_direction(fu, Direction.RIGHT))
-            b = puzzle.edge_color(edge_in_direction(right, Direction.LEFT))
-            if a != b:
-                return False
-        up = mapping.get((u[0], u[1] + 1))
-        if up is not None:
-            a = puzzle.edge_color(edge_in_direction(fu, Direction.UP))
-            b = puzzle.edge_color(edge_in_direction(up, Direction.DOWN))
-            if a != b:
-                return False
+        for d in (RIGHT, UP):
+            di, dj = STEPS[d]
+            fu2 = mapping.get((u[0] + di, u[1] + dj))
+            if fu2 is not None:
+                a = puzzle.edge_color(edge_in_direction(fu, d))
+                b = puzzle.edge_color(edge_in_direction(fu2, d ^ 2))
+                if a != b:
+                    return False
     return True
 
 
@@ -198,7 +186,7 @@ def boundary_of(cells: Iterable[Coord]) -> tuple[int, frozenset[Coord]]:
     edge_count = 0
     outside: set[Coord] = set()
     for (i, j) in inside:
-        for (di, dj) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        for (di, dj) in STEPS:
             nb = (i + di, j + dj)
             if nb not in inside:
                 edge_count += 1

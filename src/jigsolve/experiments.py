@@ -16,7 +16,7 @@ import numpy as np
 
 from .assemble import solve
 from .gen import MAX_Q, generate
-from .grid import disassemble
+from .grid import disassemble, parse_ints
 from .rng import MASK64, mix_seed
 from .typicality import DEFAULT_C_PRIME, report_from_candidates
 from .windows import DEFAULT_BUDGET, BudgetExceededError, aggregate_candidates, enumerate_windows
@@ -75,7 +75,7 @@ def run_trial(n: int, q: int, k: int, seed: int, budget: int = DEFAULT_BUDGET) -
         multi = int(statuses.multiple.sum())
         report = report_from_candidates(puzzle, planted, statuses, k, DEFAULT_C_PRIME)
         typical = report.typical
-        outcome = solve(bag, n, k, budget, candidates=statuses)
+        outcome = solve(bag, k, budget, candidates=statuses)
         if outcome.solved:
             solved = True
             planted_match = np.array_equal(outcome.assembly.grid, planted.grid)
@@ -189,7 +189,10 @@ def config_from_options(options: dict[str, str]) -> SweepConfig:
     def ints(key: str) -> tuple[int, ...] | None:
         if key not in options:
             return None
-        return tuple(int(v) for v in options[key].replace(",", " ").split())
+        return tuple(parse_ints(options[key].replace(",", " ").split(), f"config key {key!r}"))
+
+    def one(key: str, default: int) -> int:
+        return parse_ints([options.get(key, str(default))], f"config key {key!r}")[0]
 
     def floats(key: str) -> tuple[float, ...] | None:
         if key not in options:
@@ -201,10 +204,10 @@ def config_from_options(options: dict[str, str]) -> SweepConfig:
         raise ValueError("config must set n")
     return SweepConfig(
         ns=ns,
-        k=int(options.get("k", "1")),
-        trials=int(options.get("trials", "1")),
-        master_seed=int(options.get("seed", "0")),
+        k=one("k", 1),
+        trials=one("trials", 1),
+        master_seed=one("seed", 0),
         qs=ints("q"),
         alphas=floats("alpha"),
-        budget=int(options.get("budget", str(DEFAULT_BUDGET))),
+        budget=one("budget", DEFAULT_BUDGET),
     )

@@ -30,9 +30,8 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import cached_property
 from typing import NamedTuple, TextIO
 
@@ -49,24 +48,12 @@ HORIZONTAL = "h"
 VERTICAL = "v"
 
 
-class Direction(IntEnum):
-    """The four edge labels, in counter-clockwise order."""
-
-    RIGHT = 0
-    UP = 1
-    LEFT = 2
-    DOWN = 3
-
-    @property
-    def opposite(self) -> "Direction":
-        return Direction((self + 2) % 4)
-
-
-#: Side indices into a piece's four colors: the values of :class:`Direction` as plain ints.
+#: Side indices into a piece's four colors, counter-clockwise from the right.
 RIGHT, UP, LEFT, DOWN = 0, 1, 2, 3
 
-#: Unit step toward each side, indexed by direction; the side opposite ``d`` is ``d ^ 2``.
+#: Unit step toward each side, indexed by side; the side opposite ``d`` is ``d ^ 2``.
 STEPS: tuple[Coord, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
 
 class EdgeId(NamedTuple):
     """Identity of one grid edge (orient 'h' or 'v', anchor indices)."""
@@ -80,16 +67,25 @@ class EdgeId(NamedTuple):
 _EDGE_OFFSETS = ((HORIZONTAL, 0, 0), (VERTICAL, 0, 0), (HORIZONTAL, -1, 0), (VERTICAL, 0, -1))
 
 
-def edge_in_direction(v: Coord, d: Direction) -> EdgeId:
-    """The edge leaving position ``v`` in direction ``d``."""
+def edge_in_direction(v: Coord, d: int) -> EdgeId:
+    """The edge leaving position ``v`` toward side ``d``."""
     orient, di, dj = _EDGE_OFFSETS[d]
     return EdgeId(orient, v[0] + di, v[1] + dj)
 
 
-def _check_q_fits(q: int) -> None:
+def check_n_q(n: int, q: int) -> None:
+    """Reject a board without positions or colors, or with colors past int64."""
+    if n < 1 or q < 1:
+        raise ValueError("n and q must be positive")
     # past int64, color arrays fall back to float64 and neighboring colors compare equal
     if q > MAX_Q:
         raise ValueError(f"q must be at most 2**63 - 1; got q={q}")
+
+
+def check_radius(n: int, k: int) -> None:
+    """Reject a window radius outside 1 <= k < n/2, where no window fits the board."""
+    if k < 1 or 2 * k >= n:
+        raise ValueError("need 1 <= k < n/2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +104,7 @@ class Puzzle:
     vcolors: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.q < 1:
-            raise ValueError("n and q must be positive")
-        _check_q_fits(self.q)
+        check_n_q(self.n, self.q)
         h = np.ascontiguousarray(self.hcolors, dtype=np.int64)
         v = np.ascontiguousarray(self.vcolors, dtype=np.int64)
         if h.shape != (self.n + 1, self.n) or v.shape != (self.n, self.n + 1):
@@ -148,9 +142,7 @@ class PieceBag:
     colors: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.q < 1:
-            raise ValueError("n and q must be positive")
-        _check_q_fits(self.q)
+        check_n_q(self.n, self.q)
         colors = np.ascontiguousarray(self.colors, dtype=np.int64)
         if colors.shape != (self.n * self.n, 4):
             raise ValueError("a bag must hold exactly n^2 pieces of four colors")
@@ -200,8 +192,7 @@ def piece_at(puzzle: Puzzle, v: Coord) -> tuple[int, int, int, int]:
     n = puzzle.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"position {v} out of range for n={n}")
-    h, w = puzzle.hcolors, puzzle.vcolors
-    return (int(h[i, j - 1]), int(w[i - 1, j]), int(h[i - 1, j - 1]), int(w[i - 1, j - 1]))
+    return tuple(puzzle.edge_color(edge_in_direction(v, d)) for d in (RIGHT, UP, LEFT, DOWN))
 
 
 def piece_colors(puzzle: Puzzle) -> np.ndarray:
@@ -249,6 +240,42 @@ def is_feasible(bag: PieceBag, assembly: Assembly) -> bool:
 # file formats
 
 
+def parse_ints(tokens: list[str], source: str) -> list[int]:
+    """The tokens as ints; the first that is not one raises, named with its ``source``."""
+    vals = []
+    try:
+        for token in tokens:
+            vals.append(int(token))
+    except ValueError:
+        raise ValueError(f"{source}: expected an integer, got {token!r}") from None
+    return vals
+
+
+def read_header(inp: TextIO, kind: str, body: Callable[[int, int], int]) -> tuple[int, int, list[int]]:
+    """Read an ``n q`` file of ``body(n, q)`` further integers: positive n
+    and q, q small enough for int64 colors, and the body as ints. Its
+    errors name the ``kind`` of file."""
+    tokens = inp.read().split()
+    if len(tokens) < 2:
+        raise ValueError(f"{kind} file: missing header")
+    n, q = parse_ints(tokens[:2], f"{kind} file")
+    if n < 1 or q < 1:
+        raise ValueError(f"{kind} file: n and q must be positive")
+    need = 2 + body(n, q)
+    if len(tokens) != need:
+        raise ValueError(f"{kind} file: expected {need} tokens, got {len(tokens)}")
+    check_n_q(n, q)
+    return n, q, parse_ints(tokens[2:], f"{kind} file")
+
+
+def color_array(vals: list[int], q: int, what: str) -> np.ndarray:
+    """``vals`` as an int64 array once each lies in [1..q]. The range is
+    checked on the ints, since numpy turns a list past int64 into floats."""
+    if min(vals) < 1 or max(vals) > q:
+        raise ValueError(f"{what} must lie in [1..{q}]")
+    return np.array(vals, dtype=np.int64)
+
+
 def write_puzzle(puzzle: Puzzle, out: TextIO) -> None:
     n = puzzle.n
     out.write(f"{n} {puzzle.q}\n")
@@ -261,20 +288,8 @@ def write_puzzle(puzzle: Puzzle, out: TextIO) -> None:
 
 
 def read_puzzle(inp: TextIO) -> Puzzle:
-    tokens = inp.read().split()
-    if len(tokens) < 2:
-        raise ValueError("puzzle file: missing header")
-    n, q = int(tokens[0]), int(tokens[1])
-    if n < 1 or q < 1:
-        raise ValueError("puzzle file: n and q must be positive")
-    need = 2 + n * (n + 1) * 2
-    if len(tokens) != need:
-        raise ValueError(f"puzzle file: expected {need} tokens, got {len(tokens)}")
-    _check_q_fits(q)
-    vals = [int(t) for t in tokens[2:]]
-    if min(vals) < 1 or max(vals) > q:  # before the int64 arrays, which would overflow
-        raise ValueError(f"colors must lie in [1..{q}]")
-    flat = np.array(vals, dtype=np.int64)
+    n, q, vals = read_header(inp, "puzzle", lambda n, q: 2 * n * (n + 1))
+    flat = color_array(vals, q, "colors")
     # rows j of entries i, so each block is the transpose of its color array
     hcolors = flat[: n * (n + 1)].reshape(n, n + 1).T
     vcolors = flat[n * (n + 1) :].reshape(n + 1, n).T
@@ -288,20 +303,8 @@ def write_bag(bag: PieceBag, out: TextIO) -> None:
 
 
 def read_bag(inp: TextIO) -> PieceBag:
-    tokens = inp.read().split()
-    if len(tokens) < 2:
-        raise ValueError("bag file: missing header")
-    n, q = int(tokens[0]), int(tokens[1])
-    if n < 1 or q < 1:
-        raise ValueError("bag file: n and q must be positive")
-    need = 2 + 4 * n * n
-    if len(tokens) != need:
-        raise ValueError(f"bag file: expected {need} tokens, got {len(tokens)}")
-    _check_q_fits(q)
-    vals = [int(t) for t in tokens[2:]]
-    if min(vals) < 1 or max(vals) > q:  # before the int64 array, which would overflow
-        raise ValueError(f"piece colors must lie in [1..{q}]")
-    return PieceBag(n, q, np.array(vals, dtype=np.int64).reshape(-1, 4))
+    n, q, vals = read_header(inp, "bag", lambda n, q: 4 * n * n)
+    return PieceBag(n, q, color_array(vals, q, "piece colors").reshape(-1, 4))
 
 
 def write_assembly(assembly: Assembly, out: TextIO) -> None:
@@ -315,12 +318,12 @@ def read_assembly(inp: TextIO) -> Assembly:
     tokens = inp.read().split()
     if not tokens:
         raise ValueError("assembly file: missing header")
-    n = int(tokens[0])
+    (n,) = parse_ints(tokens[:1], "assembly file")
     if n < 1:
         raise ValueError("assembly file: n must be positive")
     if len(tokens) != 1 + n * n:
         raise ValueError("assembly file: wrong token count")
-    ids = [int(t) for t in tokens[1:]]
+    ids = parse_ints(tokens[1:], "assembly file")
     if sorted(ids) != list(range(n * n)):
         raise ValueError(f"assembly file: piece ids must be 0..{n * n - 1}, each once")
     return Assembly(np.array(ids, dtype=np.int64).reshape(n, n))

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Assembly, Coord, EdgeId, PieceBag, Puzzle, edge_in_direction, piece_colors
+from .grid import DOWN, LEFT, Assembly, Coord, EdgeId, PieceBag, Puzzle, check_radius, edge_in_direction, piece_colors
 from .windows import DEFAULT_BUDGET, Candidates, candidate_neighborhoods
 
 #: Default constant for the color-pair property.
@@ -65,8 +65,7 @@ def check_typical(
     the budget.
     """
     n = puzzle.n
-    if 2 * k >= n:
-        raise ValueError("need k < n/2")
+    check_radius(n, k)
     bag = PieceBag(n, puzzle.q, piece_colors(puzzle))
     planted = Assembly(np.arange(n * n).reshape(n, n))
     statuses = candidate_neighborhoods(bag, k, budget)
@@ -123,8 +122,8 @@ def report_from_candidates(
     # once: a left or down side that a ring neighbor shares is its right or up
     ring_sides = sides[on_ring.ravel()]
     counted = np.ones((n, n, 4), dtype=bool)
-    counted[:, 1:, 2] = ~on_ring[:, :-1]
-    counted[1:, :, 3] = ~on_ring[:-1, :]
+    counted[:, 1:, LEFT] = ~on_ring[:, :-1]
+    counted[1:, :, DOWN] = ~on_ring[:-1, :]
     colors, counts = np.unique(ring_sides[counted[on_ring]], return_counts=True)
     nonunique = int(counts[counts >= 2].sum())
     rank = np.searchsorted(colors, ring_sides)

@@ -27,7 +27,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .grid import DOWN, LEFT, RIGHT, UP, Puzzle
+from .grid import DOWN, LEFT, RIGHT, UP, Puzzle, check_n_q, color_array, read_header
 from .oracle import DEFAULT_LIMIT, LimitExceededError
 
 
@@ -98,8 +98,7 @@ class VariantPuzzle:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.q < 1:
-            raise ValueError("n and q must be positive")
+        check_n_q(self.n, self.q)
         self.iota.validate(self.q)
         s = np.ascontiguousarray(self.sigma, dtype=np.int64)
         if s.shape != (self.n, self.n, 4):
@@ -244,19 +243,8 @@ def write_variant(vp: VariantPuzzle, out: TextIO) -> None:
 
 
 def read_variant(inp: TextIO) -> VariantPuzzle:
-    tokens = inp.read().split()
-    if len(tokens) < 2:
-        raise ValueError("variant file: missing header")
-    n, q = int(tokens[0]), int(tokens[1])
-    if n < 1 or q < 1:
-        raise ValueError("variant file: n and q must be positive")
-    need = 2 + q + 4 * n * n
-    if len(tokens) != need:
-        raise ValueError(f"variant file: expected {need} tokens, got {len(tokens)}")
-    iota = JigInvolution(tuple(int(t) for t in tokens[2 : 2 + q]))
-    vals = [int(t) for t in tokens[2 + q :]]
-    if min(vals) < 1 or max(vals) > q:  # before the int64 array, which would overflow
-        raise ValueError(f"colors must lie in [1..{q}]")
+    n, q, vals = read_header(inp, "variant", lambda n, q: q + 4 * n * n)
+    iota = JigInvolution(tuple(vals[:q]))
     # one line per position, row-major, so the block reads [j - 1, i - 1, d]
-    sigma = np.array(vals, dtype=np.int64).reshape(n, n, 4).transpose(1, 0, 2)
+    sigma = color_array(vals[q:], q, "colors").reshape(n, n, 4).transpose(1, 0, 2)
     return VariantPuzzle(n, q, iota, sigma)

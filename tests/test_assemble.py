@@ -70,7 +70,7 @@ def test_join_leaves_a_generated_conflict_unjoined():
     assert len(conflicted) == 17
     comps = mutual_components(cands)
     assert all(c.size == 1 for c in comps)  # the conflicted pieces are all the linked ones
-    assert solve(bag, n, k, candidates=cands).failure == "multiple_candidates"
+    assert solve(bag, k, candidates=cands).failure == "multiple_candidates"
 
 
 def test_join_long_chain_beside_a_square():
@@ -237,7 +237,7 @@ def planted_claims(n, seed, shuffle_seed):
 def test_solve_on_planted_grid_candidates():
     n = 4
     bag, planted, claims = planted_claims(n, 2, 21)
-    out = solve(bag, n, 1, candidates=claimed_candidates(n * n, claims))
+    out = solve(bag, 1, candidates=claimed_candidates(n * n, claims))
     assert out.solved
     assert out.assembly.placement == planted.placement
 
@@ -253,7 +253,7 @@ def test_solve_best_cover_core_with_hole(hole):
     largest = mutual_components(cands)[0]
     assert largest.size == (n - 2) ** 2 - 1
     assert core_guesses(largest, n, 1) == [(0, 0)]
-    out = solve(bag, n, 1, candidates=cands)
+    out = solve(bag, 1, candidates=cands)
     assert out.solved
     assert out.assembly.placement == planted.placement
 
@@ -379,7 +379,7 @@ def test_k2_recovers_where_the_core_is_exact():
     hits = 0
     for s in range(5):
         bag, planted = disassemble(generate(30, 84, s), s + 1)
-        out = solve(bag, 30, 2)
+        out = solve(bag, 2)
         hits += out.solved and out.assembly.placement == planted.placement
     assert hits >= 4
 
@@ -412,19 +412,16 @@ def test_assemble_shells_validates_inputs():
 def test_solve_rejects_bad_arguments():
     p = generate(4, 5, seed=0)
     bag, _ = disassemble(p, 0)
-    with pytest.raises(ValueError):
-        solve(bag, 4, 0)
-    with pytest.raises(ValueError):
-        solve(bag, 4, 2)
-    with pytest.raises(ValueError):
-        solve(bag, 5, 1)
+    for k in (0, 2):
+        with pytest.raises(ValueError, match="need 1 <= k < n/2"):
+            solve(bag, k)
 
 
 def test_solve_rejects_candidates_of_another_bag():
     small, _ = disassemble(generate(6, 500, seed=1), 2)
     big, _ = disassemble(generate(8, 500, seed=1), 2)
     with pytest.raises(ValueError, match="candidates cover 64 pieces; the bag holds 36"):
-        solve(small, 6, 1, candidates=candidate_neighborhoods(big, 1))
+        solve(small, 1, candidates=candidate_neighborhoods(big, 1))
 
 
 def test_solve_recovers_easy_puzzles():
@@ -432,7 +429,7 @@ def test_solve_recovers_easy_puzzles():
         n = 8
         p = generate(n, n**3, seed=seed)
         bag, planted = disassemble(p, seed + 17)
-        out = solve(bag, n, 1)
+        out = solve(bag, 1)
         assert out.solved
         assert out.assembly.placement == planted.placement
         assert is_feasible(bag, out.assembly)
@@ -445,7 +442,7 @@ def test_solved_outcomes_always_feasible():
         q = math.ceil(n**1.8)
         p = generate(n, q, seed=seed)
         bag, planted = disassemble(p, seed)
-        out = solve(bag, n, 1)
+        out = solve(bag, 1)
         if out.solved:
             hits += 1
             assert is_feasible(bag, out.assembly)
@@ -456,17 +453,17 @@ def test_solve_k2():
     n, q = 12, 3000
     p = generate(n, q, seed=4)
     bag, planted = disassemble(p, 6)
-    out = solve(bag, n, 2)
+    out = solve(bag, 2)
     assert out.solved and out.assembly.placement == planted.placement
 
 
 def test_solve_monochromatic_fails():
     p = generate(3, 1, seed=0)
     bag, _ = disassemble(p, 0)
-    out = solve(bag, 3, 1)
+    out = solve(bag, 1)
     assert not out.solved
     assert out.failure == "multiple_candidates"
-    out4 = solve(generate(4, 1, seed=0) and disassemble(generate(4, 1, seed=0), 1)[0], 4, 1, budget=10**5)
+    out4 = solve(generate(4, 1, seed=0) and disassemble(generate(4, 1, seed=0), 1)[0], 1, budget=10**5)
     assert out4.failure in ("multiple_candidates", "budget_exceeded")
 
 
@@ -482,7 +479,7 @@ def test_solve_agrees_with_oracle_on_tiny_puzzles():
                 except LimitExceededError:
                     continue
                 cases += 1
-                out = solve(bag, n, 1)
+                out = solve(bag, 1)
                 if not out.solved:
                     continue
                 solved += 1
@@ -530,8 +527,8 @@ def test_solve_determinism():
     n, q = 8, 200
     p = generate(n, q, seed=3)
     bag, _ = disassemble(p, 9)
-    a = solve(bag, n, 1)
-    b = solve(bag, n, 1)
+    a = solve(bag, 1)
+    b = solve(bag, 1)
     assert (a.solved, a.failure, a.guesses_tried) == (b.solved, b.failure, b.guesses_tried)
     if a.solved:
         assert a.assembly.placement == b.assembly.placement
@@ -584,7 +581,7 @@ def _shell_growth_records(monkeypatch) -> list[str]:
                         stable, windows = cands.stable.copy(), cands.windows.copy()
                         gone = np.random.default_rng((n, q, s, k)).choice(n * n, size=clear, replace=False)
                         stable[gone], windows[gone] = -1, 0
-                        out = solve(bag, n, k, candidates=Candidates(stable, windows))
+                        out = solve(bag, k, candidates=Candidates(stable, windows))
                         grid = None if out.assembly is None else out.assembly.grid.tolist()
                         records.append(json.dumps(["solve", n, q, s, k, clear, grid, out.failure, out.guesses_tried]))
     return records

@@ -61,12 +61,14 @@ def test_candidates_counts(tmp_path, capsys):
 
 @pytest.mark.parametrize("k", ["0", "2", "50"])
 def test_candidates_k_out_of_range_exit_code(tmp_path, capsys, k):
-    # at 2k >= n no window fits the board, and enumerating them anyway takes long
-    bagfile = tmp_path / "bag.txt"
-    main(["generate", "--n", "4", "--q", "4", "--out", str(tmp_path / "p.txt"), "--bag-out", str(bagfile)])
-    capsys.readouterr()
-    assert main(["candidates", "--in", str(bagfile), "--k", k]) == 2
-    assert capsys.readouterr().err == "error: need 1 <= k < n/2\n"
+    # every command taking --k states the one radius rule; at 2k >= n no
+    # window fits the board, and enumerating them anyway takes long
+    bagfile, puzfile = tmp_path / "bag.txt", tmp_path / "p.txt"
+    main(["generate", "--n", "4", "--q", "4", "--out", str(puzfile), "--bag-out", str(bagfile)])
+    for command, infile in (("solve", bagfile), ("candidates", bagfile), ("typical", puzfile)):
+        capsys.readouterr()
+        assert main([command, "--in", str(infile), "--k", k]) == 2, command
+        assert capsys.readouterr().err == "error: need 1 <= k < n/2\n", command
 
 
 @pytest.mark.parametrize(
@@ -126,6 +128,25 @@ def test_bad_planted_file_exit_code(tmp_path, capsys, content, named):
     assert main(["solve", "--in", str(bagfile), "--k", "1", "--planted", str(plantedfile)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "args, content, source, token",
+    [
+        (["candidates", "--in", "in.txt", "--k", "1"], "1 x\n", "bag file", "x"),
+        (["oracle", "--in", "in.txt"], "1 2\n1 y\n1\n1\n", "puzzle file", "y"),
+        (["variant-oracle", "--in", "in.txt"], "1 1\n1\n1 1 1 z\n", "variant file", "z"),
+        (["solve", "--in", "bag.txt", "--k", "1", "--planted", "in.txt"], "2\n0 1\n2 w\n", "assembly file", "w"),
+        (["sweep", "--config", "in.txt", "--out", "out.csv"], "n = 8\ntrials = abc\n", "config key 'trials'", "abc"),
+    ],
+    ids=["bag", "puzzle", "variant", "planted", "sweep-config"],
+)
+def test_non_integer_token_exit_code(tmp_path, monkeypatch, capsys, args, content, source, token):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bag.txt").write_text("1 1\n1 1 1 1\n")
+    (tmp_path / "in.txt").write_text(content)
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {source}: expected an integer, got {token!r}\n"
 
 
 def test_bag_with_q_past_int64_exit_code(tmp_path, capsys):

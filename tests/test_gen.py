@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jigsolve.gen import generate, generate_variant
-from jigsolve.grid import Direction
+from jigsolve.grid import DOWN, LEFT, RIGHT, UP
 from jigsolve.rng import generator, mix_seed, splitmix64
 from jigsolve.variant import make_involution, respects_matching
 
@@ -83,8 +83,8 @@ def test_variant_respects_involution_exactly():
     vp = generate_variant(4, 6, iota, seed=3)
     assert respects_matching(vp)
     # spot check one internal pair by hand: sigma[i - 1, j - 1, d]
-    assert vp.sigma[0, 0, Direction.RIGHT] == iota.table[vp.sigma[1, 0, Direction.LEFT]]
-    assert vp.sigma[2, 1, Direction.UP] == iota.table[vp.sigma[2, 2, Direction.DOWN]]
+    assert vp.sigma[0, 0, RIGHT] == iota.table[vp.sigma[1, 0, LEFT]]
+    assert vp.sigma[2, 1, UP] == iota.table[vp.sigma[2, 2, DOWN]]
 
 
 def test_variant_determinism():
@@ -110,7 +110,7 @@ def test_variant_identity_marginals_match_base():
             base_counts += np.bincount(arr.ravel(), minlength=q + 1)
             base_total += arr.size
         vp = generate_variant(8, q, iota, seed=seed)
-        R, U = Direction.RIGHT, Direction.UP
+        R, U = RIGHT, UP
         rights = np.asarray(vp.sigma)[:-1, :, R]  # canonical orientation colors
         ups = np.asarray(vp.sigma)[:, :-1, U]
         for arr in (rights, ups):
@@ -129,10 +129,10 @@ def test_variant_boundary_edges_unconstrained():
     vp = generate_variant(2, 2, iota, seed=1)
     # all oriented edges with a head off the board exist and are in range
     boundary = [
-        vp.sigma[0, :, Direction.LEFT],
-        vp.sigma[-1, :, Direction.RIGHT],
-        vp.sigma[:, 0, Direction.DOWN],
-        vp.sigma[:, -1, Direction.UP],
+        vp.sigma[0, :, LEFT],
+        vp.sigma[-1, :, RIGHT],
+        vp.sigma[:, 0, DOWN],
+        vp.sigma[:, -1, UP],
     ]
     for run in boundary:
         assert run.shape == (2,) and ((1 <= run) & (run <= 2)).all()

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from jigsolve import gen
 from jigsolve.gen import generate
 from jigsolve.grid import (
+    DOWN,
+    LEFT,
     MAX_Q,
+    RIGHT,
+    STEPS,
+    UP,
     Assembly,
-    Direction,
     EdgeId,
     PieceBag,
     Puzzle,
@@ -34,16 +38,17 @@ def monochromatic(n):
 
 
 def test_direction_opposites():
-    for d in Direction:
-        assert d.opposite.opposite == d
-    assert Direction.RIGHT.opposite == Direction.LEFT
-    assert Direction.UP.opposite == Direction.DOWN
+    # the side opposite d is d ^ 2, a step back the other way
+    assert (RIGHT ^ 2, UP ^ 2, LEFT ^ 2, DOWN ^ 2) == (LEFT, DOWN, RIGHT, UP)
+    assert STEPS[RIGHT] == (1, 0) and STEPS[UP] == (0, 1)
+    for d, (di, dj) in enumerate(STEPS):
+        assert STEPS[d ^ 2] == (-di, -dj)
 
 
 def test_edge_in_direction_shared_identity():
     # the same physical edge seen from both endpoints
-    assert edge_in_direction((1, 2), Direction.RIGHT) == edge_in_direction((2, 2), Direction.LEFT)
-    assert edge_in_direction((3, 1), Direction.UP) == edge_in_direction((3, 2), Direction.DOWN)
+    assert edge_in_direction((1, 2), RIGHT) == edge_in_direction((2, 2), LEFT)
+    assert edge_in_direction((3, 1), UP) == edge_in_direction((3, 2), DOWN)
 
 
 def test_edge_ranges_boundary():
@@ -84,10 +89,10 @@ def test_opposite_direction_color_sharing():
     p = generate(5, 7, seed=11)
     for i in range(1, 5):
         for j in range(1, 6):
-            assert piece_at(p, (i, j))[Direction.RIGHT] == piece_at(p, (i + 1, j))[Direction.LEFT]
+            assert piece_at(p, (i, j))[RIGHT] == piece_at(p, (i + 1, j))[LEFT]
     for i in range(1, 6):
         for j in range(1, 5):
-            assert piece_at(p, (i, j))[Direction.UP] == piece_at(p, (i, j + 1))[Direction.DOWN]
+            assert piece_at(p, (i, j))[UP] == piece_at(p, (i, j + 1))[DOWN]
 
 
 def test_disassemble_counts_and_determinism():
@@ -160,7 +165,7 @@ def test_adjacent_swap_with_distinct_colors_infeasible():
     a = Assembly(swapped)
     left_piece = bag.colors[a.placement[(1, 1)]]
     right_piece = bag.colors[a.placement[(2, 1)]]
-    assert left_piece[Direction.RIGHT] != right_piece[Direction.LEFT]
+    assert left_piece[RIGHT] != right_piece[LEFT]
     assert not is_feasible(bag, a)
 
 
@@ -191,11 +196,11 @@ def test_is_feasible_matches_cell_by_cell_check(seed, n, q, swaps):
     assembly = Assembly(grid.reshape(n, n))
     place, colors = assembly.placement, bag.colors.tolist()
     expected = all(
-        colors[place[(i, j)]][Direction.RIGHT] == colors[place[(i + 1, j)]][Direction.LEFT]
+        colors[place[(i, j)]][RIGHT] == colors[place[(i + 1, j)]][LEFT]
         for i in range(1, n)
         for j in range(1, n + 1)
     ) and all(
-        colors[place[(i, j)]][Direction.UP] == colors[place[(i, j + 1)]][Direction.DOWN]
+        colors[place[(i, j)]][UP] == colors[place[(i, j + 1)]][DOWN]
         for i in range(1, n + 1)
         for j in range(1, n)
     )

@@ -125,7 +125,7 @@ def test_typical_implies_planted_recovery():
             continue
         checked += 1
         bag, planted = disassemble(p, seed + 1000)
-        out = solve(bag, n, 1)
+        out = solve(bag, 1)
         assert out.solved, f"typical puzzle not solved (seed {seed})"
         assert out.assembly.placement == planted.placement
     assert checked >= 10

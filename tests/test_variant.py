@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jigsolve.gen import generate_variant
-from jigsolve.grid import Direction
+from jigsolve.grid import DOWN, LEFT, RIGHT, UP
 from jigsolve.oracle import enumerate_feasible_assemblies
 from jigsolve.variant import (
     JigInvolution,
@@ -74,10 +74,10 @@ def test_rotate_generator_geometry():
     # one quarter turn counter-clockwise: the Right jig lands on Up
     piece = (1, 2, 3, 4)  # (right, up, left, down)
     turned = rotate_piece(piece, 1)
-    assert turned[Direction.UP] == piece[Direction.RIGHT]
-    assert turned[Direction.LEFT] == piece[Direction.UP]
-    assert turned[Direction.DOWN] == piece[Direction.LEFT]
-    assert turned[Direction.RIGHT] == piece[Direction.DOWN]
+    assert turned[UP] == piece[RIGHT]
+    assert turned[LEFT] == piece[UP]
+    assert turned[DOWN] == piece[LEFT]
+    assert turned[RIGHT] == piece[DOWN]
 
 
 @given(turns=st.integers(0, 7), extra=st.integers(0, 7))
@@ -101,7 +101,7 @@ def test_global_rotation_rejected_as_malformed():
     rotated = RotAssembly([[2, 0], [3, 1]], np.ones((2, 2), dtype=np.int64))
     # its colors agree on every internal edge ...
     slots = [[rotate_piece(tuple(vp.sigma[h % 2, h // 2]), 1) for h in row] for row in rotated.home.tolist()]
-    R, U, L, D = Direction.RIGHT, Direction.UP, Direction.LEFT, Direction.DOWN
+    R, U, L, D = RIGHT, UP, LEFT, DOWN
     for row in slots:
         assert row[0][R] == row[1][L]
     for lower, upper in zip(slots[0], slots[1]):
@@ -222,7 +222,7 @@ def test_variant_file_round_trip():
 def test_variant_puzzle_validates_coupling():
     vp = generate_variant(2, 2, make_involution(2, "identity"), seed=0)
     sigma = np.array(vp.sigma)
-    sigma[0, 0, Direction.RIGHT] = 3 - sigma[0, 0, Direction.RIGHT]  # break Eq coupling
+    sigma[0, 0, RIGHT] = 3 - sigma[0, 0, RIGHT]  # break Eq coupling
     from jigsolve.variant import VariantPuzzle
 
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import count
 from types import GeneratorType
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings, strategies
 
 from jigsolve import windows
 from jigsolve.gen import generate
-from jigsolve.grid import DOWN, LEFT, RIGHT, STEPS, UP, Direction, PieceBag, disassemble
+from jigsolve.grid import DOWN, LEFT, RIGHT, STEPS, UP, PieceBag, disassemble
 from jigsolve.oracle import brute_force_window_rows, brute_force_windows
 from jigsolve.windows import (
     BudgetExceededError,
@@ -50,8 +51,8 @@ def test_windows_are_feasible_and_injective():
     assert len(rows) > 0
     assert all(len(set(cells)) == 9 for cells in rows.tolist())
     colors = bag.colors[rows.reshape(-1, 3, 3)]  # [window, row, column, side], top row first
-    assert (colors[:, :, :-1, Direction.RIGHT] == colors[:, :, 1:, Direction.LEFT]).all()
-    assert (colors[:, :-1, :, Direction.DOWN] == colors[:, 1:, :, Direction.UP]).all()
+    assert (colors[:, :, :-1, RIGHT] == colors[:, :, 1:, LEFT]).all()
+    assert (colors[:, :-1, :, DOWN] == colors[:, 1:, :, UP]).all()
 
 
 def test_enumeration_deterministic():
@@ -423,3 +424,31 @@ def test_runs_bound_memory(monkeypatch):
         tracemalloc.stop()
     assert np.array_equal(chunked, rows)
     assert peak < 145_609 * 16
+
+
+def test_extended_runs_release_their_parents(monkeypatch):
+    # a run's slices are the last references to its parent level, so by the
+    # time the next step looks its cells up, that level is gone; only the
+    # first level, the horizontal dominoes, stays, since the step tables
+    # are built from it
+    parents = []
+    checks = 0
+    extend, runs = windows._extend, windows._Index.runs
+
+    def recorded(cols, *rest):
+        if cols[0].base is not None:  # a run, not the pieces of a domino table
+            parents.append(weakref.ref(cols[0].base))
+        return extend(cols, *rest)
+
+    def checked(index, key):
+        nonlocal checks
+        if len(parents) >= 2:
+            assert parents[-1]() is None, f"the parents of run {len(parents)} are still held"
+            checks += 1
+        return runs(index, key)
+
+    monkeypatch.setattr(windows, "_extend", recorded)
+    monkeypatch.setattr(windows._Index, "runs", checked)
+    bag, _ = disassemble(generate(20, 40, 0), 1)
+    assert len(window_rows(bag, 2)) == 1348
+    assert checks == 14  # 16 steps of one run each, checked from the third
