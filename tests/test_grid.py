@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -313,6 +314,30 @@ def test_assembly_file_round_trip():
     write_assembly(planted, buf)
     assert read_assembly(io.StringIO(buf.getvalue())).placement == planted.placement
     assert buf.getvalue().splitlines()[1].split() == [str(planted.placement[(i, 1)]) for i in (1, 2, 3)]
+
+
+#: SHA-256 of the ``write_puzzle``, ``write_bag`` and ``write_assembly``
+#: bytes, in that order, of ``generate(n, q, seed)`` and
+#: ``disassemble(puzzle, seed + 1)``, keyed by (n, q, seed).
+BASE_FILE_SHA256 = {
+    (1, 1, 0): "054e4ab1222bc14d04344cf57608c70c48b10058a5747d61ca311a1ba0a34f99",
+    (1, 2**40, 1): "dee12c83e5f0775326944f5d38a946d0a461a4ee7800cf11e005370888828994",
+    (2, 2, 2): "460374ac1a12c4792ed7fd2cf4fab9c2e6ea20f7158a50883fe3ed9d5b0acdfe",
+    (3, 7, 3): "a7f48e8ece19d980df9066d826fccc14f7fe768685fc2513a7ed18f6a508f0a7",
+    (5, 2**40, 0): "ba3a0a9c7caf2a724ed6ef82798fd4dc00372afb642d83584574eedb80e5b1c6",
+    (8, 50, 1): "03eb86959b73f4253d634f970d50203528cb6967f4a333527417159458d625fb",
+}
+
+
+def test_base_files_pinned():
+    for (n, q, seed), digest in BASE_FILE_SHA256.items():
+        puzzle = generate(n, q, seed)
+        bag, planted = disassemble(puzzle, seed + 1)
+        buf = io.StringIO()
+        write_puzzle(puzzle, buf)
+        write_bag(bag, buf)
+        write_assembly(planted, buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, (n, q, seed)
 
 
 def test_read_puzzle_rejects_garbage():
