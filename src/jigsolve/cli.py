@@ -138,7 +138,7 @@ def _cmd_analyze_window(args: argparse.Namespace) -> int:
     lines = [ln.strip() for ln in tokens if ln.strip()]
     if not lines:
         raise ValueError("empty window map: expected 'k' on the first line")
-    k = int(lines[0])
+    (k,) = grid.parse_ints(lines[:1], "window map")
     mapping = {}
     for line in lines[1:]:
         try:

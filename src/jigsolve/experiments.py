@@ -15,8 +15,8 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .assemble import solve
-from .gen import MAX_Q, generate
-from .grid import disassemble, parse_ints
+from .gen import generate
+from .grid import check_n_q, disassemble, parse_ints
 from .rng import MASK64, mix_seed
 from .typicality import DEFAULT_C_PRIME, report_from_candidates
 from .windows import DEFAULT_BUDGET, BudgetExceededError, aggregate_candidates, enumerate_windows
@@ -125,10 +125,7 @@ class SweepConfig:
             if m < 1 or 2 * m * m < n * n:
                 raise ValueError(f"need 2 (n - 2k)^2 >= n^2; violated at n={n}, k={self.k}")
         for n, q in self.cells():
-            if q < 1:
-                raise ValueError(f"q must be positive; got q={q} at n={n}")
-            if q > MAX_Q:
-                raise ValueError(f"q must be at most 2**63 - 1; got q={q} at n={n}")
+            check_n_q(n, q)
 
     def cells(self) -> list[tuple[int, int]]:
         out = []
@@ -197,7 +194,13 @@ def config_from_options(options: dict[str, str]) -> SweepConfig:
     def floats(key: str) -> tuple[float, ...] | None:
         if key not in options:
             return None
-        return tuple(float(v) for v in options[key].replace(",", " ").split())
+        vals = []
+        for token in options[key].replace(",", " ").split():
+            try:
+                vals.append(float(token))
+            except ValueError:
+                raise ValueError(f"config key {key!r}: expected a number, got {token!r}") from None
+        return tuple(vals)
 
     ns = ints("n")
     if ns is None:

@@ -3,9 +3,9 @@
 Colors are drawn from a PCG64 stream in a fixed canonical order, so a
 ``(n, q, seed)`` triple names one puzzle forever:
 
-* base puzzles: the horizontal block first, in file order (row j = 1..n,
-  anchors i = 0..n within a row), then the vertical block in file order
-  (j = 0..n, i = 1..n within a line);
+* base puzzles: ``hcolors`` first, then ``vcolors``, each block drawn in
+  its array's layout, which is also its file order (row j, then anchor i
+  within a row);
 * variant puzzles: internal rightward edges (j = 1..n, i = 1..n-1), then
   internal upward edges (j = 1..n-1, i = 1..n), each mirrored through the
   involution, then the four boundary runs (left column, right column,
@@ -17,19 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DOWN, LEFT, RIGHT, UP, MAX_Q, Puzzle
+from .grid import DOWN, LEFT, RIGHT, UP, Puzzle, check_n_q
 from .rng import generator
 from .variant import JigInvolution, VariantPuzzle
 
 
 def generate(n: int, q: int, seed: int) -> Puzzle:
     """A puzzle with every edge color uniform in [1..q], independently."""
-    if n < 1 or not 1 <= q <= MAX_Q:
-        raise ValueError(f"need n >= 1 and 1 <= q <= 2**63 - 1; got n={n}, q={q}")
+    check_n_q(n, q)
     rng = generator(seed)
-    hblock = rng.integers(1, q + 1, size=(n, n + 1))
-    vblock = rng.integers(1, q + 1, size=(n + 1, n))
-    return Puzzle(n, q, hblock.T.copy(), vblock.T.copy())
+    hcolors = rng.integers(1, q + 1, size=(n, n + 1))
+    vcolors = rng.integers(1, q + 1, size=(n + 1, n))
+    return Puzzle(n, q, hcolors, vcolors)
 
 
 def generate_variant(n: int, q: int, iota: JigInvolution, seed: int) -> VariantPuzzle:
@@ -40,17 +39,16 @@ def generate_variant(n: int, q: int, iota: JigInvolution, seed: int) -> VariantP
     is forced to the involution image. Boundary oriented edges (head off
     the board) are free uniform colors.
     """
-    if n < 1 or not 1 <= q <= MAX_Q:
-        raise ValueError(f"need n >= 1 and 1 <= q <= 2**63 - 1; got n={n}, q={q}")
+    check_n_q(n, q)
     iota.validate(q)
     rng = generator(seed)
-    sigma = np.zeros((n, n, 4), dtype=np.int64)  # [i - 1, j - 1, d]
-    rights = rng.integers(1, q + 1, size=(n, n - 1)).T  # [i - 1, j - 1], i < n
-    sigma[:-1, :, RIGHT], sigma[1:, :, LEFT] = rights, iota.table[rights]
-    ups = rng.integers(1, q + 1, size=(n - 1, n)).T  # [i - 1, j - 1], j < n
-    sigma[:, :-1, UP], sigma[:, 1:, DOWN] = ups, iota.table[ups]
-    sigma[0, :, LEFT] = rng.integers(1, q + 1, size=n)
-    sigma[-1, :, RIGHT] = rng.integers(1, q + 1, size=n)
-    sigma[:, 0, DOWN] = rng.integers(1, q + 1, size=n)
-    sigma[:, -1, UP] = rng.integers(1, q + 1, size=n)
+    sigma = np.zeros((n, n, 4), dtype=np.int64)  # [j - 1, i - 1, d]
+    rights = rng.integers(1, q + 1, size=(n, n - 1))  # [j - 1, i - 1], i < n
+    sigma[:, :-1, RIGHT], sigma[:, 1:, LEFT] = rights, iota.table[rights]
+    ups = rng.integers(1, q + 1, size=(n - 1, n))  # [j - 1, i - 1], j < n
+    sigma[:-1, :, UP], sigma[1:, :, DOWN] = ups, iota.table[ups]
+    sigma[:, 0, LEFT] = rng.integers(1, q + 1, size=n)
+    sigma[:, -1, RIGHT] = rng.integers(1, q + 1, size=n)
+    sigma[0, :, DOWN] = rng.integers(1, q + 1, size=n)
+    sigma[-1, :, UP] = rng.integers(1, q + 1, size=n)
     return VariantPuzzle(n, q, iota, sigma)

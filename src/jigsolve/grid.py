@@ -17,9 +17,9 @@ Anchors 0 and n name the boundary half edges.
 
 File formats (plain text, whitespace separated):
 
-* puzzle: ``n q`` on line 1; then n lines of n+1 horizontal colors (one
-  line per row j = 1..n, entries i = 0..n); then n+1 lines of n vertical
-  colors (one line per j = 0..n, entries i = 1..n).
+* puzzle: ``n q`` on line 1; then the n rows of ``hcolors`` (row j = 1..n,
+  entries i = 0..n); then the n+1 rows of ``vcolors`` (row j = 0..n,
+  entries i = 1..n).
 * piece bag: ``n q`` on line 1; then n^2 lines ``right up left down``.
 * assembly (CLI plumbing): ``n`` on line 1; then n lines of n piece ids,
   one line per row j = 1..n, entries i = 1..n.
@@ -92,9 +92,10 @@ def check_radius(n: int, k: int) -> None:
 class Puzzle:
     """An n-by-n board with a color on every edge, boundary included.
 
-    ``hcolors`` has shape ``(n+1, n)``: entry ``[i, j-1]`` is the color of
+    Both color arrays hold one row per j, like ``Assembly.grid``.
+    ``hcolors`` has shape ``(n, n+1)``: entry ``[j-1, i]`` is the color of
     the horizontal edge anchored at ``(i, j)``. ``vcolors`` has shape
-    ``(n, n+1)``: entry ``[i-1, j]`` is the color of the vertical edge
+    ``(n+1, n)``: entry ``[j, i-1]`` is the color of the vertical edge
     anchored at ``(i, j)``.
     """
 
@@ -107,7 +108,7 @@ class Puzzle:
         check_n_q(self.n, self.q)
         h = np.ascontiguousarray(self.hcolors, dtype=np.int64)
         v = np.ascontiguousarray(self.vcolors, dtype=np.int64)
-        if h.shape != (self.n + 1, self.n) or v.shape != (self.n, self.n + 1):
+        if h.shape != (self.n, self.n + 1) or v.shape != (self.n + 1, self.n):
             raise ValueError("color arrays have the wrong shape")
         for arr in (h, v):
             if arr.size and (arr.min() < 1 or arr.max() > self.q):
@@ -121,11 +122,11 @@ class Puzzle:
         if orient == HORIZONTAL:
             if not (0 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"edge {e} out of range for n={self.n}")
-            return int(self.hcolors[i, j - 1])
+            return int(self.hcolors[j - 1, i])
         if orient == VERTICAL:
             if not (1 <= i <= self.n and 0 <= j <= self.n):
                 raise ValueError(f"edge {e} out of range for n={self.n}")
-            return int(self.vcolors[i - 1, j])
+            return int(self.vcolors[j, i - 1])
         raise ValueError(f"unknown edge orientation {orient!r}")
 
 
@@ -198,9 +199,8 @@ def piece_at(puzzle: Puzzle, v: Coord) -> tuple[int, int, int, int]:
 def piece_colors(puzzle: Puzzle) -> np.ndarray:
     """:func:`piece_at` for every position, in :func:`positions_row_major`
     order, as an (n^2, 4) int64 array."""
-    h, w = puzzle.hcolors, puzzle.vcolors
-    by_column = np.stack([h[1:], w[:, 1:], h[:-1], w[:, :-1]], axis=-1)  # [i - 1, j - 1]
-    return by_column.transpose(1, 0, 2).reshape(-1, 4)
+    h, v = puzzle.hcolors, puzzle.vcolors
+    return np.stack([h[:, 1:], v[1:], h[:, :-1], v[:-1]], axis=-1).reshape(-1, 4)
 
 
 def disassemble(puzzle: Puzzle, seed: int) -> tuple[PieceBag, Assembly]:
@@ -276,30 +276,23 @@ def color_array(vals: list[int], q: int, what: str) -> np.ndarray:
     return np.array(vals, dtype=np.int64)
 
 
+def write_rows(out: TextIO, *blocks: list[list[int]]) -> None:
+    """Write each row of each block as one line of space-separated ints."""
+    out.writelines(" ".join(map(str, row)) + "\n" for rows in blocks for row in rows)
+
+
 def write_puzzle(puzzle: Puzzle, out: TextIO) -> None:
-    n = puzzle.n
-    out.write(f"{n} {puzzle.q}\n")
-    for j in range(1, n + 1):
-        out.write(" ".join(str(int(puzzle.hcolors[i, j - 1])) for i in range(n + 1)))
-        out.write("\n")
-    for j in range(n + 1):
-        out.write(" ".join(str(int(puzzle.vcolors[i - 1, j])) for i in range(1, n + 1)))
-        out.write("\n")
+    write_rows(out, [[puzzle.n, puzzle.q]], puzzle.hcolors.tolist(), puzzle.vcolors.tolist())
 
 
 def read_puzzle(inp: TextIO) -> Puzzle:
     n, q, vals = read_header(inp, "puzzle", lambda n, q: 2 * n * (n + 1))
-    flat = color_array(vals, q, "colors")
-    # rows j of entries i, so each block is the transpose of its color array
-    hcolors = flat[: n * (n + 1)].reshape(n, n + 1).T
-    vcolors = flat[n * (n + 1) :].reshape(n + 1, n).T
-    return Puzzle(n, q, hcolors, vcolors)
+    hcolors, vcolors = np.split(color_array(vals, q, "colors"), [n * (n + 1)])
+    return Puzzle(n, q, hcolors.reshape(n, n + 1), vcolors.reshape(n + 1, n))
 
 
 def write_bag(bag: PieceBag, out: TextIO) -> None:
-    out.write(f"{bag.n} {bag.q}\n")
-    for right, up, left, down in bag.colors.tolist():
-        out.write(f"{right} {up} {left} {down}\n")
+    write_rows(out, [[bag.n, bag.q]], bag.colors.tolist())
 
 
 def read_bag(inp: TextIO) -> PieceBag:
@@ -308,10 +301,7 @@ def read_bag(inp: TextIO) -> PieceBag:
 
 
 def write_assembly(assembly: Assembly, out: TextIO) -> None:
-    out.write(f"{len(assembly.grid)}\n")
-    for row in assembly.grid.tolist():
-        out.write(" ".join(map(str, row)))
-        out.write("\n")
+    write_rows(out, [[len(assembly.grid)]], assembly.grid.tolist())
 
 
 def read_assembly(inp: TextIO) -> Assembly:

@@ -11,12 +11,14 @@ turn count must be zero.
 A piece is named by the row-major index of its home: the piece homed at
 (i, j) is ``(j - 1) * n + (i - 1)``. A :class:`RotAssembly` holds two
 (n, n) grids laid out like ``Assembly.grid``: at ``[j - 1, i - 1]`` the
-home index of the piece placed at (i, j) and its quarter turns.
+home index of the piece placed at (i, j) and its quarter turns. A
+puzzle's slot colors ``sigma`` are laid out the same way, so the piece
+with home index h holds ``sigma.reshape(-1, 4)[h]``.
 
 Variant puzzle file format (plain text): line 1 ``n q``; line 2 the
 involution as q integers (image of each color); then n^2 lines
-``right up left down`` of oriented colors, one line per position in
-canonical row-major order (row j = 1..n, i = 1..n within a row).
+``right up left down`` of oriented colors, one line per home index
+(row j = 1..n, i = 1..n within a row).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .grid import DOWN, LEFT, RIGHT, UP, Puzzle, check_n_q, color_array, read_header
+from .grid import DOWN, LEFT, RIGHT, UP, Puzzle, check_n_q, color_array, read_header, write_rows
 from .oracle import DEFAULT_LIMIT, LimitExceededError
 
 
@@ -88,8 +90,9 @@ def rotate_piece(colors: tuple[int, int, int, int], turns: int) -> tuple[int, in
 class VariantPuzzle:
     """Oriented edge colors for every position, coupled through ``iota``.
 
-    ``sigma[i-1, j-1, d]`` is the color of the oriented edge leaving
-    position (i, j) in direction d (slot order right, up, left, down).
+    ``sigma[j-1, i-1, d]`` is the color of the oriented edge leaving
+    position (i, j) in direction d (slot order right, up, left, down),
+    one row per j like ``Assembly.grid``.
     """
 
     n: int
@@ -111,11 +114,6 @@ class VariantPuzzle:
             raise ValueError("internal oriented edges must satisfy sigma(e) = iota(sigma(reversed e))")
 
 
-def _pieces(vp: VariantPuzzle) -> np.ndarray:
-    """The (n^2, 4) slot colors of every piece, by home index."""
-    return vp.sigma.transpose(1, 0, 2).reshape(-1, 4)
-
-
 def _coupled(iota: JigInvolution, colors: np.ndarray) -> bool:
     """True iff every internal oriented edge pair of a board whose slot
     colors are ``colors[j - 1, i - 1, d]`` is coupled through ``iota``."""
@@ -127,7 +125,7 @@ def _coupled(iota: JigInvolution, colors: np.ndarray) -> bool:
 
 def respects_matching(vp: VariantPuzzle) -> bool:
     """Check the coupling on every internal oriented edge pair."""
-    return _coupled(vp.iota, vp.sigma.transpose(1, 0, 2))
+    return _coupled(vp.iota, vp.sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +166,7 @@ def is_feasible_rot_assembly(vp: VariantPuzzle, a: RotAssembly) -> bool:
     if turns[home == 0].any():
         raise ValueError("the piece homed at (1, 1) must keep the identity rotation")
     slots = (np.arange(4) - turns[..., None]) % 4
-    return _coupled(vp.iota, _pieces(vp)[home[..., None], slots])
+    return _coupled(vp.iota, vp.sigma.reshape(-1, 4)[home[..., None], slots])
 
 
 def brute_force_variant_solve(
@@ -191,7 +189,7 @@ def brute_force_variant_solve(
 
     # keyed 4 * home + t: the slot colors of each home turned t times and
     # whether each of its slots faces the board; ``inner`` is that per location
-    rotated = [rotate_piece(piece, t) for piece in _pieces(vp).tolist() for t in range(4)]
+    rotated = [rotate_piece(piece, t) for piece in vp.sigma.reshape(-1, 4).tolist() for t in range(4)]
     row, col = np.divmod(np.arange(num), n)
     inner = np.stack([col < n - 1, row < n - 1, col > 0, row > 0], axis=1).tolist()
     inner_turned = [rotate_piece(sides, t) for sides in inner for t in range(4)]
@@ -230,21 +228,16 @@ def to_base_puzzle(vp: VariantPuzzle) -> Puzzle:
     """Flatten an identity-involution variant onto a base puzzle."""
     if vp.iota.images != tuple(range(1, vp.q + 1)):
         raise ValueError("only an identity involution flattens to a base puzzle")
-    hcolors = np.concatenate([vp.sigma[:1, :, LEFT], vp.sigma[:, :, RIGHT]], axis=0)
-    vcolors = np.concatenate([vp.sigma[:, :1, DOWN], vp.sigma[:, :, UP]], axis=1)
+    hcolors = np.concatenate([vp.sigma[:, :1, LEFT], vp.sigma[:, :, RIGHT]], axis=1)
+    vcolors = np.concatenate([vp.sigma[:1, :, DOWN], vp.sigma[:, :, UP]], axis=0)
     return Puzzle(vp.n, vp.q, hcolors, vcolors)
 
 
 def write_variant(vp: VariantPuzzle, out: TextIO) -> None:
-    out.write(f"{vp.n} {vp.q}\n")
-    out.write(" ".join(map(str, vp.iota.images)) + "\n")
-    for right, up, left, down in _pieces(vp).tolist():
-        out.write(f"{right} {up} {left} {down}\n")
+    write_rows(out, [[vp.n, vp.q], vp.iota.images], vp.sigma.reshape(-1, 4).tolist())
 
 
 def read_variant(inp: TextIO) -> VariantPuzzle:
     n, q, vals = read_header(inp, "variant", lambda n, q: q + 4 * n * n)
     iota = JigInvolution(tuple(vals[:q]))
-    # one line per position, row-major, so the block reads [j - 1, i - 1, d]
-    sigma = color_array(vals[q:], q, "colors").reshape(n, n, 4).transpose(1, 0, 2)
-    return VariantPuzzle(n, q, iota, sigma)
+    return VariantPuzzle(n, q, iota, color_array(vals[q:], q, "colors").reshape(n, n, 4))

@@ -25,14 +25,14 @@ def random_window_map(rng: random.Random, k: int, n: int, full: bool = False) ->
 
 def explicit_puzzle(n: int, q: int, fill) -> Puzzle:
     """Puzzle with hcolors/vcolors given by a function of the edge id."""
-    h = np.zeros((n + 1, n), dtype=np.int64)
-    v = np.zeros((n, n + 1), dtype=np.int64)
+    h = np.zeros((n, n + 1), dtype=np.int64)
+    v = np.zeros((n + 1, n), dtype=np.int64)
     for i in range(n + 1):
         for j in range(1, n + 1):
-            h[i, j - 1] = fill("h", i, j)
+            h[j - 1, i] = fill("h", i, j)
     for i in range(1, n + 1):
         for j in range(n + 1):
-            v[i - 1, j] = fill("v", i, j)
+            v[j, i - 1] = fill("v", i, j)
     return Puzzle(n, q, h, v)
 
 

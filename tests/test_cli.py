@@ -131,22 +131,36 @@ def test_bad_planted_file_exit_code(tmp_path, capsys, content, named):
 
 
 @pytest.mark.parametrize(
-    "args, content, source, token",
+    "args, content, message",
     [
-        (["candidates", "--in", "in.txt", "--k", "1"], "1 x\n", "bag file", "x"),
-        (["oracle", "--in", "in.txt"], "1 2\n1 y\n1\n1\n", "puzzle file", "y"),
-        (["variant-oracle", "--in", "in.txt"], "1 1\n1\n1 1 1 z\n", "variant file", "z"),
-        (["solve", "--in", "bag.txt", "--k", "1", "--planted", "in.txt"], "2\n0 1\n2 w\n", "assembly file", "w"),
-        (["sweep", "--config", "in.txt", "--out", "out.csv"], "n = 8\ntrials = abc\n", "config key 'trials'", "abc"),
+        (["candidates", "--in", "in.txt", "--k", "1"], "1 x\n", "bag file: expected an integer, got 'x'"),
+        (["oracle", "--in", "in.txt"], "1 2\n1 y\n1\n1\n", "puzzle file: expected an integer, got 'y'"),
+        (["variant-oracle", "--in", "in.txt"], "1 1\n1\n1 1 1 z\n", "variant file: expected an integer, got 'z'"),
+        (
+            ["solve", "--in", "bag.txt", "--k", "1", "--planted", "in.txt"],
+            "2\n0 1\n2 w\n",
+            "assembly file: expected an integer, got 'w'",
+        ),
+        (
+            ["sweep", "--config", "in.txt", "--out", "out.csv"],
+            "n = 8\ntrials = abc\n",
+            "config key 'trials': expected an integer, got 'abc'",
+        ),
+        (
+            ["sweep", "--config", "in.txt", "--out", "out.csv", "--set", "alpha=x"],
+            "n = 8\n",
+            "config key 'alpha': expected a number, got 'x'",
+        ),
+        (["analyze-window", "--in", "in.txt"], "x\n1 1 -> 1 1\n", "window map: expected an integer, got 'x'"),
     ],
-    ids=["bag", "puzzle", "variant", "planted", "sweep-config"],
+    ids=["bag", "puzzle", "variant", "planted", "sweep-config", "sweep-alpha", "window-map"],
 )
-def test_non_integer_token_exit_code(tmp_path, monkeypatch, capsys, args, content, source, token):
+def test_non_integer_token_exit_code(tmp_path, monkeypatch, capsys, args, content, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bag.txt").write_text("1 1\n1 1 1 1\n")
     (tmp_path / "in.txt").write_text(content)
     assert main(args) == 2
-    assert capsys.readouterr().err == f"error: {source}: expected an integer, got {token!r}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bag_with_q_past_int64_exit_code(tmp_path, capsys):

@@ -30,10 +30,10 @@ def test_rejects_zero_parameters():
         generate(3, 0, seed=0)
     # colors are drawn as int64
     assert generate(2, 2**63 - 1, seed=0).q == 2**63 - 1
-    with pytest.raises(ValueError, match="q <= 2\\*\\*63 - 1"):
+    with pytest.raises(ValueError, match="q must be at most 2\\*\\*63 - 1"):
         generate(2, 2**63, seed=0)
     # q is checked before the involution, which could not be built over 2**63 colors
-    with pytest.raises(ValueError, match="q <= 2\\*\\*63 - 1"):
+    with pytest.raises(ValueError, match="q must be at most 2\\*\\*63 - 1"):
         generate_variant(2, 2**63, make_involution(2, "identity"), seed=0)
 
 
@@ -82,9 +82,9 @@ def test_variant_respects_involution_exactly():
     iota = make_involution(6, "pairing")
     vp = generate_variant(4, 6, iota, seed=3)
     assert respects_matching(vp)
-    # spot check one internal pair by hand: sigma[i - 1, j - 1, d]
-    assert vp.sigma[0, 0, RIGHT] == iota.table[vp.sigma[1, 0, LEFT]]
-    assert vp.sigma[2, 1, UP] == iota.table[vp.sigma[2, 2, DOWN]]
+    # spot check one internal pair by hand: sigma[j - 1, i - 1, d]
+    assert vp.sigma[0, 0, RIGHT] == iota.table[vp.sigma[0, 1, LEFT]]
+    assert vp.sigma[1, 2, UP] == iota.table[vp.sigma[2, 2, DOWN]]
 
 
 def test_variant_determinism():
@@ -104,15 +104,15 @@ def test_variant_identity_marginals_match_base():
     iota = make_involution(q, "identity")
     for seed in range(30):
         p = generate(8, q, seed=seed)
-        h = np.asarray(p.hcolors)[1:-1, :]  # internal horizontal edges
-        v = np.asarray(p.vcolors)[:, 1:-1]
+        h = np.asarray(p.hcolors)[:, 1:-1]  # internal horizontal edges
+        v = np.asarray(p.vcolors)[1:-1, :]
         for arr in (h, v):
             base_counts += np.bincount(arr.ravel(), minlength=q + 1)
             base_total += arr.size
         vp = generate_variant(8, q, iota, seed=seed)
         R, U = RIGHT, UP
-        rights = np.asarray(vp.sigma)[:-1, :, R]  # canonical orientation colors
-        ups = np.asarray(vp.sigma)[:, :-1, U]
+        rights = np.asarray(vp.sigma)[:, :-1, R]  # canonical orientation colors
+        ups = np.asarray(vp.sigma)[:-1, :, U]
         for arr in (rights, ups):
             var_counts += np.bincount(arr.ravel(), minlength=q + 1)
             var_total += arr.size
@@ -129,10 +129,10 @@ def test_variant_boundary_edges_unconstrained():
     vp = generate_variant(2, 2, iota, seed=1)
     # all oriented edges with a head off the board exist and are in range
     boundary = [
-        vp.sigma[0, :, LEFT],
-        vp.sigma[-1, :, RIGHT],
-        vp.sigma[:, 0, DOWN],
-        vp.sigma[:, -1, UP],
+        vp.sigma[:, 0, LEFT],
+        vp.sigma[:, -1, RIGHT],
+        vp.sigma[0, :, DOWN],
+        vp.sigma[-1, :, UP],
     ]
     for run in boundary:
         assert run.shape == (2,) and ((1 <= run) & (run <= 2)).all()

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jigsolve import gen
 from jigsolve.gen import generate
 from jigsolve.grid import (
     DOWN,
@@ -234,11 +233,11 @@ def test_puzzle_validation():
     with pytest.raises(ValueError):
         Puzzle(0, 1, np.zeros((1, 0)), np.zeros((0, 1)))
     with pytest.raises(ValueError):
-        Puzzle(2, 2, np.ones((3, 2)), np.ones((2, 2)))  # bad vcolors shape
-    bad = np.ones((3, 2), dtype=np.int64)
+        Puzzle(2, 2, np.ones((2, 3)), np.ones((2, 2)))  # bad vcolors shape
+    bad = np.ones((2, 3), dtype=np.int64)
     bad[0, 0] = 5
     with pytest.raises(ValueError):
-        Puzzle(2, 2, bad, np.ones((2, 3)))
+        Puzzle(2, 2, bad, np.ones((3, 2)))
 
 
 def test_puzzle_arrays_frozen():
@@ -272,8 +271,8 @@ def test_bag_rejects_q_past_int64():
     big = 2**63
     with pytest.raises(ValueError, match=rf"q must be at most 2\*\*63 - 1; got q={big + 1}"):
         PieceBag(3, big + 1, np.ones((9, 4), dtype=np.int64))
-    assert MAX_Q == gen.MAX_Q == big - 1
-    ones = np.ones((4, 3), dtype=np.int64)
+    assert MAX_Q == big - 1
+    ones = np.ones((3, 4), dtype=np.int64)
     with pytest.raises(ValueError, match=rf"q must be at most 2\*\*63 - 1; got q={big}"):
         Puzzle(3, big, ones, ones.T)
     top = [[MAX_Q, 1, 1, 1], [1, 1, MAX_Q - 1, 1]]

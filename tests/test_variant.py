@@ -100,7 +100,7 @@ def test_global_rotation_rejected_as_malformed():
     vp = generate_variant(2, 3, make_involution(3, "identity"), seed=4)
     rotated = RotAssembly([[2, 0], [3, 1]], np.ones((2, 2), dtype=np.int64))
     # its colors agree on every internal edge ...
-    slots = [[rotate_piece(tuple(vp.sigma[h % 2, h // 2]), 1) for h in row] for row in rotated.home.tolist()]
+    slots = [[rotate_piece(tuple(vp.sigma[h // 2, h % 2]), 1) for h in row] for row in rotated.home.tolist()]
     R, U, L, D = RIGHT, UP, LEFT, DOWN
     for row in slots:
         assert row[0][R] == row[1][L]
