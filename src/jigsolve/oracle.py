@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import DOWN, LEFT, RIGHT, UP, Assembly, PieceBag, Puzzle, piece_colors
-from .windows import WindowAssembly
+from .windows import WindowAssembly, window_tuples
 
 #: Default cap on enumerated assemblies.
 DEFAULT_LIMIT = 10**6
@@ -145,4 +145,4 @@ def brute_force_windows(bag: PieceBag, center: int, k: int = 1) -> list[WindowAs
     if not 0 <= center < len(bag.colors):
         raise ValueError(f"center must be a piece id in [0..{len(bag.colors) - 1}]")
     rows = _bag_rows(bag, k)
-    return [WindowAssembly(k, c) for c in zip(*rows[rows[:, rows.shape[1] // 2] == center].T.tolist())]
+    return list(window_tuples(k, rows[rows[:, rows.shape[1] // 2] == center]))

@@ -49,16 +49,20 @@ every entry of the run that each row looks up, before the entries that
 repeat a piece of the row are dropped. The total is the same however
 the parents are split into runs.
 
-The windows are one array, :func:`window_rows`; :func:`enumerate_windows`
-adapts it to a stream of :class:`WindowAssembly` tuples for the readers
-that take one. :func:`aggregate_candidates` folds the stream into
+The windows are one array, :func:`window_rows`; :func:`window_tuples`
+turns rows into :class:`WindowAssembly` tuples with no Python frame per
+row, and :func:`enumerate_windows` streams them for the readers that take
+one. :func:`aggregate_candidates` folds the stream into
 :class:`Candidates`: per piece, the neighbors that all of its windows
-agree on, as one array.
+agree on, as one array. The fold writes every window's four claims into
+its center's row, so each entry holds one window's claim, then clears
+each entry that some window of the same center contradicts.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple
 
@@ -220,8 +224,13 @@ def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> It
     """
     rows = window_rows(bag, k, budget)
     for start in range(0, len(rows), 1024):
-        for window in zip(*rows[start : start + 1024].T.tolist()):
-            yield WindowAssembly(k, window)
+        yield from window_tuples(k, rows[start : start + 1024])
+
+
+def window_tuples(k: int, rows: np.ndarray) -> Iterator[WindowAssembly]:
+    """Each row as a :class:`WindowAssembly` of radius ``k`` with Python int
+    cells, built by ``tuple.__new__`` with no Python frame per row."""
+    return map(partial(tuple.__new__, WindowAssembly), zip(repeat(k), zip(*rows.T.tolist())))
 
 
 class _Index:
@@ -281,27 +290,30 @@ def aggregate_candidates(num_pieces: int, windows: Iterator[WindowAssembly]) -> 
     """Fold a window stream into the candidate statuses of pieces ``0..num_pieces-1``.
 
     Each window becomes one row: its center and the four neighbors of the
-    center. A direction is stable for a piece exactly when the grouped
-    minimum of its column over the piece's windows equals the grouped
-    maximum, so the result depends only on the multiset of windows, not
-    on their order.
+    center. Every row's claims are written into its center's entries, so
+    each entry holds the claim of one of the center's windows; an entry
+    that any other window of the center contradicts becomes -1. Which
+    write lands does not matter, so the result depends only on the
+    multiset of windows, not on their order. A center outside
+    ``0..num_pieces-1`` raises :class:`IndexError`.
     """
-    lo = np.full((num_pieces, 4), num_pieces, dtype=np.int64)
-    hi = np.full((num_pieces, 4), -1, dtype=np.int64)
+    stable = np.full((num_pieces, 4), -1, dtype=np.int64)
     count = np.zeros(num_pieces, dtype=np.int64)
     stream = iter(windows)
     first = next(stream, None)
     if first is not None:
         side = 2 * first.k + 1
         mid = first.k * side + first.k
+        # five cells, not all: reading every cell through fromiter grew peak RSS by 4-6 MB at n=30
         pick = itemgetter(mid, mid + 1, mid - side, mid - 1, mid + side)
         cells = map(pick, map(attrgetter("cells"), chain((first,), stream)))
         rows = np.fromiter(chain.from_iterable(cells), dtype=np.int64).reshape(-1, 5)
         center, claims = rows[:, 0], rows[:, 1:]
         count = np.bincount(center, minlength=num_pieces)
-        np.minimum.at(lo, center, claims)
-        np.maximum.at(hi, center, claims)
-    return Candidates(np.where(lo == hi, lo, -1), count)
+        stable[center] = claims
+        at, d = np.nonzero(claims != stable[center])
+        stable[center[at], d] = -1
+    return Candidates(stable, count)
 
 
 def candidate_neighborhoods(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Candidates:

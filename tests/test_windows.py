@@ -3,7 +3,7 @@ import random
 import tracemalloc
 import weakref
 from collections import Counter
-from itertools import count
+from itertools import chain, count
 from types import GeneratorType
 
 import numpy as np
@@ -354,6 +354,53 @@ def test_aggregate_matches_per_window_fold(n, k, q_per_n, seed):
         assert got.multiple[pid] == (agreed is not None and -1 in agreed)
     centers = Counter(wa.cells[len(wa.cells) // 2] for wa in stream)
     assert got.windows.tolist() == [centers[pid] for pid in range(n * n)]
+
+
+def test_aggregate_candidates_on_a_hand_built_stream():
+    # k=1 windows given by their middle cell and its right, up, left and
+    # down neighbors; the corners do not reach the fold
+    def window(center, right, up, left, down):
+        return WindowAssembly(1, (50, up, 51, left, center, right, 52, down, 53))
+
+    stream = [
+        window(0, 1, 2, 3, 4),
+        window(2, 6, 7, 8, 9),
+        window(5, 1, 2, 3, 4),
+        window(0, 1, 5, 3, 4),  # disagrees with the first window of 0 upward only
+        window(3, 4, 5, 6, 7),
+        window(2, 6, 7, 8, 9),
+        window(5, 4, 3, 2, 1),  # disagrees with the first window of 5 on every side
+        window(0, 1, 2, 3, 4),
+        window(2, 6, 7, 8, 1),  # the only disagreement of 2 is its last window, downward
+    ]
+    expected = {0: [1, -1, 3, 4], 2: [6, 7, 8, -1], 3: [4, 5, 6, 7], 5: [-1] * 4}
+    assert fold_windows(stream) == expected
+    for order in (stream, stream[::-1]):
+        got = aggregate_candidates(10, iter(order))
+        assert got.stable.tolist() == [expected.get(pid, [-1] * 4) for pid in range(10)]
+        assert got.windows.tolist() == [3, 0, 3, 1, 0, 2, 0, 0, 0, 0]
+        assert np.flatnonzero(got.unique).tolist() == [3]
+        assert np.flatnonzero(got.multiple).tolist() == [0, 2, 5]
+    empty = aggregate_candidates(6, iter([]))
+    assert empty.stable.tolist() == [[-1] * 4] * 6 and empty.windows.tolist() == [0] * 6
+    assert not empty.unique.any() and not empty.multiple.any()
+    with pytest.raises(IndexError):
+        aggregate_candidates(5, iter([window(0, 1, 2, 3, 4), window(5, 1, 2, 3, 4)]))
+
+
+@pytest.mark.parametrize("n, q, seed, k", [(5, 8, 3, 1), (6, 10, 2, 2)])
+def test_adapter_tuples_are_exactly_window_assemblies(n, q, seed, k):
+    # the benchmark hashes and compares the adapters' tuples, so each must be
+    # a WindowAssembly of Python ints, equal to (k, cells) and hashing alike
+    bag, _ = disassemble(generate(n, q, seed), 4)
+    stream = list(enumerate_windows(bag, k, budget=10**7))
+    brute = [brute_force_windows(bag, center, k) for center in range(n * n)]
+    assert [] in brute and len(stream) == sum(map(len, brute)) > 0
+    for wa in chain(stream, *brute):
+        assert type(wa) is WindowAssembly and type(wa.k) is int and wa.k == k
+        assert type(wa.cells) is tuple and len(wa.cells) == (2 * k + 1) ** 2
+        assert all(type(c) is int for c in wa.cells)
+        assert wa == (k, wa.cells) and hash(wa) == hash((k, wa.cells))
 
 
 def test_perfbench_adapter_contract():
