@@ -65,11 +65,10 @@ def mutual_components(cands: Candidates) -> list[PartialAssembly]:
     A union-find over the right and up links places each piece relative
     to a root of its graph component (see :func:`_union_find`). A graph
     component is joined when those places agree with every link and no
-    two of its pieces share a cell; otherwise its pieces stay singletons.
-    Neither test, nor anything returned, depends on which piece is the
-    root. Components start at (0, 0), list their ids ascending, and are
-    sorted largest first, then by smallest id; singletons follow,
-    ascending.
+    two of its pieces share a cell; otherwise it is left out, as is every
+    piece with no link. Neither test, nor anything returned, depends on
+    which piece is the root. Components start at (0, 0), list their ids
+    ascending, and are sorted largest first, then by smallest id.
     """
     stable = cands.stable
     num = len(stable)
@@ -110,11 +109,7 @@ def mutual_components(cands: Candidates) -> list[PartialAssembly]:
 
     good = np.flatnonzero(~bad[home[starts]])
     spans = [slice(starts[c], starts[c] + sizes[c]) for c in good[np.lexsort((pid[starts[good]], -sizes[good]))]]
-    comps = [PartialAssembly(pid[at], x[at], y[at]) for at in spans]
-    alone = np.ones(num, dtype=bool)
-    alone[pid[~bad[home]]] = False
-    origin = np.zeros(1, dtype=np.int64)
-    return comps + [PartialAssembly(one, origin, origin) for one in np.flatnonzero(alone)[:, None]]
+    return [PartialAssembly(pid[at], x[at], y[at]) for at in spans]
 
 
 def _union_find(num: int, src: np.ndarray, dst: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +332,8 @@ def solve(
 
     Mutually confirmed claims are joined, and every best-covering core
     square of the largest component (see :func:`core_guesses`) is grown
-    in turn until one yields a feasible assembly. Pieces with several
+    in turn until one yields a feasible assembly; when nothing joins,
+    no core is guessed. Pieces with several
     candidate neighborhoods mark the puzzle as ambiguous; joining then
     relies only on direction claims shared by all of a piece's windows,
     and if the pipeline still cannot finish, its failure is
@@ -364,26 +360,27 @@ def solve(
     multiples = bool(candidates.multiple.any())
 
     components = mutual_components(candidates)
-    largest = components[0]
-    guesses = core_guesses(largest, n, k)
+    guesses = core_guesses(components[0], n, k) if components else []
 
     m = n - 2 * k
-    pid, x, y = largest.pid, largest.x, largest.y
+    exact = False  # every guess covers equally many cells, so any one tells
     for tried, (ax, ay) in enumerate(guesses, start=1):
         # the square's cells of the component, moved onto the board's central square
-        inside = (x >= ax) & (x < ax + m) & (y >= ay) & (y < ay + m)
+        largest = components[0]
+        x, y = largest.x - ax, largest.y - ay
+        inside = (x >= 0) & (x < m) & (y >= 0) & (y < m)
+        exact = inside.sum() == m * m
         partial = np.full((n, n), -1, dtype=np.int64)
-        partial[y[inside] + (k - ay), x[inside] + (k - ax)] = pid[inside]
+        partial[y[inside] + k, x[inside] + k] = largest.pid[inside]
         try:
             assembly = assemble_shells(bag, partial, k)
         except ShellStuck:
             continue
         if is_feasible(bag, assembly):
             return SolveOutcome(assembly, guesses_tried=tried)
-    # every guess covers equally many cells, so the last core tells
     if multiples:
         reason = "multiple_candidates"
-    elif inside.sum() == m * m:
+    elif exact:
         reason = "all_guesses_stuck"
     else:
         reason = "no_core_square"

@@ -46,14 +46,6 @@ class WindowMap:
             if i < 1 or j < 1:
                 raise ValueError("board positions are 1-indexed")
 
-    @property
-    def cells(self) -> list[Coord]:
-        return sorted(self.mapping)
-
-    @property
-    def image(self) -> set[Coord]:
-        return set(self.mapping.values())
-
 
 def tiles_of(wm: WindowMap) -> tuple[frozenset[Coord], ...]:
     """Maximal grid-connected components of the image, sorted by minimum."""

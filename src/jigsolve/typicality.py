@@ -188,9 +188,8 @@ def _crowded_pair(sides: np.ndarray, limit: int) -> tuple[tuple[int, int], int] 
         return (int(a), int(b)), int(np.count_nonzero(second == b))
     a, b = np.triu_indices(4, 1)
     colors = np.sort(sides, axis=1)
-    ranks = colors
-    if colors[:, 3].max() >= 2**31:  # pair keys would pass int64: rank the colors first
-        ranks = np.unique(colors, return_inverse=True)[1].reshape(colors.shape)
+    # dense ranks keep the pair keys within int64 whatever the colors
+    ranks = np.unique(colors, return_inverse=True)[1].reshape(colors.shape)
     keys = ranks[:, a] * (int(ranks.max()) + 1) + ranks[:, b]
     # over sorted colors, the pair (a, b) is a piece's first copy of its
     # value when a starts a run of equal colors and b starts one or follows a

@@ -20,11 +20,8 @@ from jigsolve.windows import candidate_neighborhoods
 from helpers import claimed_candidates, component, component_cells
 
 
-def test_join_all_none_gives_singletons():
-    cands = claimed_candidates(9, {})
-    comps = mutual_components(cands)
-    assert len(comps) == 9
-    assert all(c.size == 1 for c in comps)
+def test_join_all_none_gives_nothing():
+    assert mutual_components(claimed_candidates(9, {})) == []
 
 
 def test_join_mutual_pair():
@@ -38,8 +35,7 @@ def test_join_mutual_pair():
 def test_join_one_directional_claim_ignored():
     # 1 does not name 0 as its left
     cands = claimed_candidates(10, {0: (1, 7, 8, 9), 1: (6, 5, 3, 4)})
-    comps = mutual_components(cands)
-    assert all(c.size == 1 for c in comps)
+    assert mutual_components(cands) == []
 
 
 def test_join_offset_conflict():
@@ -56,9 +52,7 @@ def test_join_offset_conflict():
         },
     )
     # the component is not rigid, so none of its pieces is joined
-    comps = mutual_components(cands)
-    assert len(comps) == 92
-    assert [c.pid.tolist() for c in comps] == [[p] for p in range(92)]
+    assert mutual_components(cands) == []
 
 
 def test_join_leaves_a_generated_conflict_unjoined():
@@ -68,8 +62,7 @@ def test_join_leaves_a_generated_conflict_unjoined():
     cands = candidate_neighborhoods(bag, k)
     conflicted = [p for cells, rigid in link_components(cands) if not rigid for p in cells]
     assert len(conflicted) == 17
-    comps = mutual_components(cands)
-    assert all(c.size == 1 for c in comps)  # the conflicted pieces are all the linked ones
+    assert mutual_components(cands) == []  # the conflicted pieces are all the linked ones
     assert solve(bag, k, candidates=cands).failure == "multiple_candidates"
 
 
@@ -128,16 +121,15 @@ def link_components(cands):
 
 def expected_components(cands):
     """The join's result by :func:`link_components`, in ``mutual_components``
-    order, each component as a set of (pid, x, y): rigid components start at
-    (0, 0); every other piece is a singleton."""
+    order, each component as a set of (pid, x, y): the rigid components,
+    each starting at (0, 0)."""
     comps = []
     for cells, rigid in link_components(cands):
         if rigid:
             low_x, low_y = min(x for x, _ in cells.values()), min(y for _, y in cells.values())
             comps.append({(p, x - low_x, y - low_y) for p, (x, y) in cells.items()})
     comps.sort(key=lambda c: (-len(c), min(c)))
-    joined = {p for c in comps for p, _, _ in c}
-    return comps + [{(p, 0, 0)} for p in range(len(cands.stable)) if p not in joined]
+    return comps
 
 
 @st.composite
@@ -197,10 +189,9 @@ def test_join_matches_breadth_first_walk(mode, data):
     cands = claimed_candidates(num, claims)
     comps = mutual_components(cands)
     assert [set(zip(c.pid.tolist(), c.x.tolist(), c.y.tolist())) for c in comps] == expected_components(cands)
-    assert all((np.diff(c.pid) > 0).all() for c in comps)
-    joined = [c for c in comps if c.size > 1]
+    assert all(c.size > 1 and (np.diff(c.pid) > 0).all() for c in comps)
     # a gadget that closes a cycle off the lattice is never joined
-    assert not {p for c in joined for p in c.pid.tolist()} & set(gadget)
+    assert not {p for c in comps for p in c.pid.tolist()} & set(gadget)
     # the union-find behind the join: every root is its own root at place 0,
     # one root per link component, and a rigid component's links step as placed
     stable = cands.stable.tolist()
@@ -215,8 +206,8 @@ def test_join_matches_breadth_first_walk(mode, data):
     rigid = {p for cells, ok in linked if ok for p in cells}
     assert all(off[b] - off[a] == (width if d == 0 else 1) for a, b, d in links if a in rigid)
     if mode == "clean":  # each component sits as planted, up to a translation
-        assert sum(c.size for c in joined) == sum(len(cells) for cells, _ in linked)
-        for c in joined:
+        assert sum(c.size for c in comps) == sum(len(cells) for cells, _ in linked)
+        for c in comps:
             lattice, hx, hy = zip(*(home[p] for p in c.pid.tolist()))
             assert len(set(lattice)) == 1
             assert len(set(zip(np.subtract(hx, c.x).tolist(), np.subtract(hy, c.y).tolist()))) == 1
@@ -240,6 +231,23 @@ def test_solve_on_planted_grid_candidates():
     out = solve(bag, 1, candidates=claimed_candidates(n * n, claims))
     assert out.solved
     assert out.assembly.placement == planted.placement
+
+
+def test_solve_guesses_nothing_when_nothing_joins(monkeypatch):
+    # at n=5, k=2 the core is the one centre piece: its window is the whole
+    # board, so its status is unique, but it has no partner to link with
+    n, k = 5, 2
+    bag, planted = disassemble(generate(n, n * n, 0), 1)
+    cands = candidate_neighborhoods(bag, k)
+    assert cands.unique[planted.grid[2, 2]] and not cands.multiple.any()
+    assert mutual_components(cands) == []
+
+    def grow(*args):
+        raise AssertionError("no core was joined, so no shell may grow")
+
+    monkeypatch.setattr(assemble, "assemble_shells", grow)
+    out = solve(bag, k, candidates=cands)
+    assert (out.assembly, out.failure, out.guesses_tried) == (None, "no_core_square", 0)
 
 
 @pytest.mark.parametrize("hole", [(3, 3), (2, 2), (5, 5)])
@@ -541,7 +549,7 @@ def test_solve_determinism():
 #: k=1 bags included, so a change of that count moves it. The link graph
 #: of the n=6 q=15 s=1 k=1 bag is not rigid, so a change of the join rule
 #: moves it too.
-SHELL_GROWTH_SHA256 = "16e56bde61fd1ef0b9a37ad7e5a7752c8ae381223dc9a0e740a5d67d4756cc37"
+SHELL_GROWTH_SHA256 = "dfd58add1824c5f2655056b9f64760c801235e79e6b8fda4d3fa65f0497e6e2e"
 
 
 def _shell_growth_records(monkeypatch) -> list[str]:
@@ -595,5 +603,5 @@ def test_shell_growth_pinned(monkeypatch):
 
     records = _shell_growth_records(monkeypatch)
     assert sum(r.startswith('["solve"') for r in records) == 462
-    assert sum(r.startswith('["stuck"') for r in records) == 167
+    assert sum(r.startswith('["stuck"') for r in records) == 109
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == SHELL_GROWTH_SHA256
