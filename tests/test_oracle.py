@@ -64,6 +64,37 @@ def test_limit_exceeded():
         enumerate_feasible_assemblies(bag, limit=10)
 
 
+#: SHA-256 per n of ``enumerate_feasible_assemblies(bag, limit=10**4)`` on the
+#: bags ``disassemble(generate(n, q, s), s + 1)`` for q = 1..6 and s = 0..3:
+#: per bag a line ``n q s count`` (``n q s over`` past the limit), then the
+#: int64 bytes of the grids in the order returned.
+ASSEMBLIES_SHA256 = {
+    1: "d94358d73b357d396b399884e90dcaddb32841e1012bfda2c4cb69b0e1c1b3c7",
+    2: "a740651f0dcbcedde4ed69660862e82dcd7b1b44eea1a3002f8d44ad569cc32e",
+    3: "c41e4ea30fd4a641ca4e32b596b974b3fa330653864f239d454e0ad344d2ad43",
+    4: "03931dbac0265ffa92418178d52e1779ca05371975aa72df98b89891c0e7620f",
+}
+
+
+def test_assemblies_pinned():
+    for n, digest in ASSEMBLIES_SHA256.items():
+        h = hashlib.sha256()
+        for q in range(1, 7):
+            for s in range(4):
+                bag, _ = disassemble(generate(n, q, s), s + 1)
+                try:
+                    grids = [a.grid for a in enumerate_feasible_assemblies(bag, limit=10**4)]
+                except LimitExceededError:
+                    h.update(f"{n} {q} {s} over\n".encode())
+                    continue
+                h.update(f"{n} {q} {s} {len(grids)}\n".encode() + np.array(grids, dtype=np.int64).tobytes())
+        assert h.hexdigest() == digest, n
+    # unique puzzles at q = 6 > n and at q = 2n
+    for n, q, seeds in ((5, 6, range(4)), (7, 14, range(3))):
+        for s in seeds:
+            assert uniqueness_report(generate(n, q, s)) == (1, True, True), (n, q, s)
+
+
 def test_uniqueness_report_monochromatic():
     p = explicit_puzzle(2, 1, lambda orient, i, j: 1)
     report = uniqueness_report(p)
