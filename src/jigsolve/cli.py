@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planted", help="compare against a planted assembly file")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("oracle", help="exhaustive uniqueness report (tiny n)")
+    p = sub.add_parser("oracle", help="exhaustive uniqueness report (tiny n: seconds up to n=8 at q=2n)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT)
     p.set_defaults(func=_cmd_oracle)

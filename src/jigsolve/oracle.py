@@ -1,12 +1,11 @@
 """Brute-force ground truth at tiny scale.
 
 Everything here is deliberately naive: no color index, no chain seeding.
-Assemblies are found by backtracking over the board in row-major order,
-windows by one breadth-first numpy pass over the window in row-major
-order that holds every partial window of the bag at once; both prune
-only by direct color comparison with the left and upper neighbors. The
-point is an independent reference for the fast enumeration and for
-uniqueness questions at tiny n, not speed.
+Windows and whole-board assemblies are both the square blocks of one
+numpy pass over the block's cells in row-major order, depth first over
+slices of partial blocks, pruned only by direct color comparison with
+the left and upper neighbors. The point is an independent reference for
+the fast enumeration and for uniqueness questions at tiny n, not speed.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .windows import WindowAssembly, window_tuples
 #: Default cap on enumerated assemblies.
 DEFAULT_LIMIT = 10**6
 
-#: Entries (partial windows x pieces) of one slice of the window pass.
+#: Entries (partial blocks x pieces) of one slice of the block pass.
 _FITS_ENTRIES = 2**16
 
 
@@ -41,44 +40,18 @@ class UniquenessReport(NamedTuple):
 
 
 def enumerate_feasible_assemblies(bag: PieceBag, limit: int = DEFAULT_LIMIT) -> list[Assembly]:
-    """All bijective placements passing the color check, by backtracking.
+    """All bijective placements passing the color check, in ascending order of
+    their ids read row by row from (1, 1).
 
-    Positions are filled row by row; a candidate must match the piece to
-    its left and the piece below. Raises :class:`LimitExceededError` when
-    more than ``limit`` assemblies exist.
+    They are the blocks of side n of the bag with each piece's up and down
+    colors swapped, since a block's rows run downward and a grid's upward.
+    Raises :class:`LimitExceededError` when more than ``limit`` exist.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
     n = bag.n
-    colors = bag.colors.tolist()
-    num = n * n
-    results: list[Assembly] = []
-    chosen = [0] * num
-    used = [False] * num
-
-    def search(idx: int) -> None:
-        if idx == num:
-            results.append(Assembly(np.reshape(chosen, (n, n))))
-            if len(results) > limit:
-                raise LimitExceededError(limit)
-            return
-        left = colors[chosen[idx - 1]][RIGHT] if idx % n else None
-        below = colors[chosen[idx - n]][UP] if idx >= n else None
-        for pid in range(num):
-            if used[pid]:
-                continue
-            piece = colors[pid]
-            if left is not None and piece[LEFT] != left:
-                continue
-            if below is not None and piece[DOWN] != below:
-                continue
-            used[pid] = True
-            chosen[idx] = pid
-            search(idx + 1)
-            used[pid] = False
-
-    search(0)
-    return results
+    rows = _blocks(bag.colors[:, [RIGHT, DOWN, LEFT, UP]], n, limit)
+    return [Assembly(grid) for grid in rows.reshape(-1, n, n)]
 
 
 def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessReport:
@@ -105,35 +78,56 @@ def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessR
     )
 
 
-def brute_force_window_rows(bag: PieceBag, k: int = 1) -> np.ndarray:
-    """Every feasible window of the bag, one row each, cells row-major, rows ascending.
+def _blocks(colors: np.ndarray, side: int, limit: int | None = None) -> np.ndarray:
+    """Every square block of distinct pieces, one row each, that matches on
+    every internal edge, cells row-major with the top row first, rows ascending.
 
-    Starting from one empty window, each cell in row-major order extends
-    every partial window by every piece that matches its left and upper
-    neighbors by direct color comparison and is not yet in the window.
-    The cost is O(partial windows x pieces) per cell: tiny n only.
+    ``colors`` holds each piece's (right, up, left, down). Each cell in
+    row-major order extends a partial block by every piece that matches
+    its left and upper neighbors by direct color comparison and is not yet
+    in the block. The walk is depth first over slices of at most
+    ``_FITS_ENTRIES`` (partial block, piece) entries, from a stack holding
+    at most one slice per cell, so finished rows come in ascending order.
+    Raises :class:`LimitExceededError` once it holds more than ``limit``
+    rows. The cost is O(partial blocks x pieces) per cell: tiny n only.
     """
+    right, up, left, down = colors.T
+    npieces, cells = len(colors), side * side
+    # ids in the smallest dtype that holds them keep the partial blocks small
+    dtype = np.min_scalar_type(npieces)
+    step = max(1, _FITS_ENTRIES // npieces)
+    done, held = [np.empty((0, cells), dtype=dtype)], 0
+    stack = [np.empty((1, 0), dtype=dtype)]  # the next cell of a slice is its width
+    while stack:
+        rows = stack.pop()
+        cell = rows.shape[1]
+        if cell == cells:
+            done.append(rows)
+            held += len(rows)
+            if limit is not None and held > limit:
+                raise LimitExceededError(limit)
+            continue
+        if len(rows) > step:
+            stack.append(rows[step:])  # the later partial blocks wait below this slice's extensions
+            rows = rows[:step]
+        fits = np.ones((len(rows), npieces), dtype=bool)
+        if cell % side:
+            fits &= right[rows[:, cell - 1], None] == left
+        if cell >= side:
+            fits &= down[rows[:, cell - side], None] == up
+        fits[np.arange(len(rows))[:, None], rows] = False  # pieces already in the block
+        parent, piece = np.nonzero(fits)  # by parent, then by piece id: the order stays ascending
+        if len(parent):
+            stack.append(np.column_stack((rows[parent], piece.astype(dtype))))
+    return np.concatenate(done)
+
+
+def brute_force_window_rows(bag: PieceBag, k: int = 1) -> np.ndarray:
+    """Every feasible window of the bag, one row each, cells row-major, rows ascending:
+    the blocks of side 2k+1."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    right, up, left, down = (bag.colors[:, s] for s in (RIGHT, UP, LEFT, DOWN))
-    npieces, side = len(bag.colors), 2 * k + 1
-    # ids in the smallest dtype that holds them keep the partial windows small
-    rows = np.empty((1, 0), dtype=np.min_scalar_type(npieces))
-    step = max(1, _FITS_ENTRIES // npieces)
-    for cell in range(side * side):
-        parts = []
-        for block in np.split(rows, range(step, len(rows), step)):  # at least one block, maybe empty
-            fits = np.ones((len(block), npieces), dtype=bool)
-            if cell % side:
-                fits &= right[block[:, cell - 1], None] == left
-            if cell >= side:
-                fits &= down[block[:, cell - side], None] == up
-            fits[np.arange(len(block))[:, None], block] = False  # pieces already in the window
-            parent, piece = np.nonzero(fits)  # by parent, then by piece id: the order stays ascending
-            parts.append(np.column_stack((block[parent], piece.astype(rows.dtype))))
-        del block, rows  # the previous cell's rows go before the slices are joined
-        rows = np.concatenate(parts)
-    return rows
+    return _blocks(bag.colors, 2 * k + 1)
 
 
 # keyed by identity, as PieceBag is; holding the last bag keeps its id from being reused

@@ -93,15 +93,13 @@ class WindowAssembly(NamedTuple):
 
 
 class CandidateStatus(NamedTuple):
-    """Aggregate of all windows centered on one piece.
+    """The kind of one piece's candidate status: "none" | "unique" | "multiple"."""
 
-    ``stable`` holds, per direction, the neighbor id claimed identically
-    by every window (None where windows disagree); a unique status has
-    no None, and its ``stable`` is the one neighborhood.
-    """
+    kind: str
 
-    kind: str  # "none" | "unique" | "multiple"
-    stable: tuple[int | None, int | None, int | None, int | None] = (None, None, None, None)
+
+#: The three statuses, shared by every piece of their kind.
+_STATUSES = tuple(map(CandidateStatus, ("none", "unique", "multiple")))
 
 
 class Candidates:
@@ -122,15 +120,9 @@ class Candidates:
         self.multiple = seen & ~self.unique
 
     def values(self) -> list[CandidateStatus]:
-        """Every piece's :class:`CandidateStatus`, by id, for the benchmark's
-        tracer; pieces without windows share one "none" status."""
-        rows = self.stable.tolist()
-        statuses = [CandidateStatus("none")] * len(rows)
-        for pid in np.flatnonzero(self.unique).tolist():
-            statuses[pid] = CandidateStatus("unique", tuple(rows[pid]))
-        for pid in np.flatnonzero(self.multiple).tolist():
-            statuses[pid] = CandidateStatus("multiple", tuple(None if c < 0 else c for c in rows[pid]))
-        return statuses
+        """Every piece's :class:`CandidateStatus`, by id, for the benchmark's tracer."""
+        kind = self.unique + 2 * self.multiple  # index into _STATUSES
+        return [_STATUSES[i] for i in kind.tolist()]
 
 
 def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:

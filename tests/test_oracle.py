@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from jigsolve.grid import (
     positions_row_major,
 )
 from jigsolve.oracle import (
+    DEFAULT_LIMIT,
     LimitExceededError,
     brute_force_window_rows,
     brute_force_windows,
@@ -93,6 +95,22 @@ def test_assemblies_pinned():
     for n, q, seeds in ((5, 6, range(4)), (7, 14, range(3))):
         for s in seeds:
             assert uniqueness_report(generate(n, q, s)) == (1, True, True), (n, q, s)
+
+
+def test_limit_bounds_memory():
+    # every placement of a monochromatic board is feasible: 36! and 25! of
+    # them. The pass stops once it holds more than the limit, so its peak
+    # stays near limit rows of n^2 one-byte ids, not the whole enumeration.
+    for n, limit in ((6, 5), (5, DEFAULT_LIMIT)):
+        bag, _ = disassemble(explicit_puzzle(n, 1, lambda orient, i, j: 1), 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceededError):
+                enumerate_feasible_assemblies(bag, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, (n, limit, peak)
 
 
 def test_uniqueness_report_monochromatic():

@@ -411,10 +411,11 @@ def test_perfbench_adapter_contract():
     got = candidate_neighborhoods(bag, 1, budget=10**7)
     values = got.values()
     assert len(values) == n * n and all(isinstance(st, CandidateStatus) for st in values)
-    for st, stable, unique, multiple in zip(values, got.stable.tolist(), got.unique, got.multiple):
+    for st, unique, multiple in zip(values, got.unique, got.multiple):
         assert st.kind == ("unique" if unique else "multiple" if multiple else "none")
-        claims = tuple(None if c < 0 else c for c in stable)
-        assert st.stable == claims
+    # a status is its kind alone; the agreed neighbors stay in the array
+    assert set(values) == {CandidateStatus(kind) for kind in ("none", "unique", "multiple")}
+    assert (got.stable[got.multiple] >= 0).any(axis=1).sum() == 8
     kinds = Counter(st.kind for st in values)
     assert kinds["unique"] == got.unique.sum() and kinds["multiple"] == got.multiple.sum() > 0
     assert kinds["none"] == (got.windows == 0).sum() > 0
