@@ -47,11 +47,8 @@ def enumerate_feasible_assemblies(bag: PieceBag, limit: int = DEFAULT_LIMIT) -> 
     colors swapped, since a block's rows run downward and a grid's upward.
     Raises :class:`LimitExceededError` when more than ``limit`` exist.
     """
-    if limit < 1:
-        raise ValueError("limit must be positive")
     n = bag.n
-    rows = _blocks(bag.colors[:, [RIGHT, DOWN, LEFT, UP]], n, limit)
-    return [Assembly(grid) for grid in rows.reshape(-1, n, n)]
+    return [Assembly(grid) for grid in _assembly_rows(bag, limit).reshape(-1, n, n)]
 
 
 def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessReport:
@@ -61,21 +58,26 @@ def uniqueness_report(puzzle: Puzzle, limit: int = DEFAULT_LIMIT) -> UniquenessR
     index), so the planted assembly is the identity placement.
     """
     n = puzzle.n
-    bag = PieceBag(n, puzzle.q, piece_colors(puzzle))
-    assemblies = enumerate_feasible_assemblies(bag, limit)
-    # colors by position, [j - 1, i - 1, side]; an internal edge shows as the
-    # right side of a piece not in the last column or the up side of one not in the top row
-    planted = bag.colors.reshape(n, n, 4)
-    unique_edge = all(
-        np.array_equal(placed[:, :-1, RIGHT], planted[:, :-1, RIGHT])
-        and np.array_equal(placed[:-1, :, UP], planted[:-1, :, UP])
-        for placed in (bag.colors[a.grid] for a in assemblies)
-    )
+    colors = piece_colors(puzzle)
+    rows = _assembly_rows(PieceBag(n, puzzle.q, colors), limit)  # ids by position, row by row from (1, 1)
+    # an internal edge shows as the right side of a piece not in the last column
+    # or the up side of one not in the top row; fits[piece, position] says whether
+    # the piece there shows the planted colors on the position's internal edges
+    at = np.arange(n * n)
+    fits = (colors[:, None, RIGHT] == colors[None, :, RIGHT]) | (at % n == n - 1)
+    fits &= (colors[:, None, UP] == colors[None, :, UP]) | (at // n == n - 1)
     return UniquenessReport(
-        num_feasible=len(assemblies),
-        unique_vertex=len(assemblies) == 1,
-        unique_edge=unique_edge,
+        num_feasible=len(rows),
+        unique_vertex=len(rows) == 1,
+        unique_edge=bool(fits[rows, at].all()),
     )
+
+
+def _assembly_rows(bag: PieceBag, limit: int) -> np.ndarray:
+    """The ids of every feasible assembly, one row each, read row by row from (1, 1), rows ascending."""
+    if limit < 1:
+        raise ValueError("limit must be positive")
+    return _blocks(bag.colors[:, [RIGHT, DOWN, LEFT, UP]], bag.n, limit)
 
 
 def _blocks(colors: np.ndarray, side: int, limit: int | None = None) -> np.ndarray:

@@ -49,14 +49,18 @@ every entry of the run that each row looks up, before the entries that
 repeat a piece of the row are dropped. The total is the same however
 the parents are split into runs.
 
-The windows are one array, :func:`window_rows`; :func:`window_tuples`
-turns rows into :class:`WindowAssembly` tuples with no Python frame per
-row, and :func:`enumerate_windows` streams them for the readers that take
-one. :func:`aggregate_candidates` folds the stream into
-:class:`Candidates`: per piece, the neighbors that all of its windows
-agree on, as one array. The fold writes every window's four claims into
-its center's row, so each entry holds one window's claim, then clears
-each entry that some window of the same center contradicts.
+The windows are one array, :func:`window_rows`. :func:`enumerate_windows`
+returns a :class:`WindowStream`, which enumerates on first use: its
+``rows`` are that array, and iterating it gives each row as a
+:class:`WindowAssembly` tuple, built by :func:`window_tuples` with no
+Python frame per row, for the readers that take a stream.
+:func:`aggregate_candidates` folds the windows into :class:`Candidates`:
+per piece, the neighbors that all of its windows agree on, as one array.
+It reads each window's center and the center's four neighbors, straight
+from the rows of a fresh :class:`WindowStream` or from the tuples of any
+other stream. The fold writes every window's four claims into its
+center's row, so each entry holds one window's claim, then clears each
+entry that some window of the same center contradicts.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -208,15 +212,45 @@ def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     return np.concatenate(found)
 
 
-def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[WindowAssembly]:
-    """The rows of :func:`window_rows` as :class:`WindowAssembly` tuples, in order.
+def enumerate_windows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> WindowStream:
+    """The windows of :func:`window_rows` as a :class:`WindowStream`.
 
-    An adapter for readers of a stream: it raises, like
-    :func:`window_rows`, on the first ``next`` and before yielding anything.
+    The call enumerates nothing: it raises, like :func:`window_rows`, on
+    the stream's first use, before giving anything.
     """
-    rows = window_rows(bag, k, budget)
-    for start in range(0, len(rows), 1024):
-        yield from window_tuples(k, rows[start : start + 1024])
+    return WindowStream(bag, k, budget)
+
+
+class WindowStream:
+    """One enumeration's windows, enumerated on first use.
+
+    ``rows`` is the array of :func:`window_rows`. Iterating gives its rows
+    as :class:`WindowAssembly` tuples, in order, once: ``iter`` hands back
+    one C-level chain of 1024-row batches, so a ``for`` loop pays no Python
+    frame per window, and ``next`` reads the same chain.
+    """
+
+    def __init__(self, bag: PieceBag, k: int, budget: int):
+        self.k = k
+        self._args = (bag, k, budget)
+        self._rows: np.ndarray | None = None
+        self._tuples: Iterator[WindowAssembly] | None = None
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = window_rows(*self._args)
+        return self._rows
+
+    def __iter__(self) -> Iterator[WindowAssembly]:
+        if self._tuples is None:
+            rows = self.rows
+            batches = (rows[start : start + 1024] for start in range(0, len(rows), 1024))
+            self._tuples = chain.from_iterable(map(partial(window_tuples, self.k), batches))
+        return self._tuples
+
+    def __next__(self) -> WindowAssembly:
+        return next(self._tuples or iter(self))  # a chain is always true
 
 
 def window_tuples(k: int, rows: np.ndarray) -> Iterator[WindowAssembly]:
@@ -278,36 +312,46 @@ def _extend(cols: list[np.ndarray], lo: np.ndarray, cnt: np.ndarray, ids: tuple[
     return grown
 
 
-def aggregate_candidates(num_pieces: int, windows: Iterator[WindowAssembly]) -> Candidates:
-    """Fold a window stream into the candidate statuses of pieces ``0..num_pieces-1``.
+def aggregate_candidates(num_pieces: int, windows: Iterable[WindowAssembly]) -> Candidates:
+    """Fold windows into the candidate statuses of pieces ``0..num_pieces-1``.
 
     Each window becomes one row: its center and the four neighbors of the
-    center. Every row's claims are written into its center's entries, so
-    each entry holds the claim of one of the center's windows; an entry
-    that any other window of the center contradicts becomes -1. Which
-    write lands does not matter, so the result depends only on the
-    multiset of windows, not on their order. A center outside
-    ``0..num_pieces-1`` raises :class:`IndexError`.
+    center. A :class:`WindowStream` not yet iterated gives them as five
+    columns of its ``rows``, with no tuple built; any other stream gives
+    them from its :class:`WindowAssembly` tuples. Every row's claims are
+    written into its center's entries, so each entry holds the claim of
+    one of the center's windows; an entry that any other window of the
+    center contradicts becomes -1. Which write lands does not matter, so
+    the result depends only on the multiset of windows, not on their
+    order. A center outside ``0..num_pieces-1`` raises :class:`IndexError`.
     """
-    stable = np.full((num_pieces, 4), -1, dtype=np.int64)
-    count = np.zeros(num_pieces, dtype=np.int64)
-    stream = iter(windows)
-    first = next(stream, None)
-    if first is not None:
-        side = 2 * first.k + 1
-        mid = first.k * side + first.k
-        # five cells, not all: reading every cell through fromiter grew peak RSS by 4-6 MB at n=30
-        pick = itemgetter(mid, mid + 1, mid - side, mid - 1, mid + side)
-        cells = map(pick, map(attrgetter("cells"), chain((first,), stream)))
+    if isinstance(windows, WindowStream) and windows._tuples is None:
+        rows = windows.rows[:, _fold_cells(windows.k)].astype(np.int64)
+    else:
+        stream = iter(windows)
+        first = next(stream, None)
+        cells: Iterable[tuple[int, ...]] = ()
+        if first is not None:
+            # five cells, not all: reading every cell through fromiter grew peak RSS by 4-6 MB at n=30
+            pick = itemgetter(*_fold_cells(first.k))
+            cells = map(pick, map(attrgetter("cells"), chain((first,), stream)))
         rows = np.fromiter(chain.from_iterable(cells), dtype=np.int64).reshape(-1, 5)
-        center, claims = rows[:, 0], rows[:, 1:]
-        count = np.bincount(center, minlength=num_pieces)
-        stable[center] = claims
-        at, d = np.nonzero(claims != stable[center])
-        stable[center[at], d] = -1
+    center, claims = rows[:, 0], rows[:, 1:]
+    count = np.bincount(center, minlength=num_pieces)
+    stable = np.full((num_pieces, 4), -1, dtype=np.int64)
+    stable[center] = claims
+    at, d = np.nonzero(claims != stable[center])
+    stable[center[at], d] = -1
     return Candidates(stable, count)
 
 
+def _fold_cells(k: int) -> list[int]:
+    """A radius-``k`` window's center cell, then its right, up, left and down neighbors, row-major."""
+    side = 2 * k + 1
+    mid = k * side + k
+    return [mid, mid + 1, mid - side, mid - 1, mid + side]
+
+
 def candidate_neighborhoods(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> Candidates:
-    """Candidate status of every piece, from the full window stream."""
+    """Candidate status of every piece, folded from the rows of one enumeration."""
     return aggregate_candidates(len(bag.colors), enumerate_windows(bag, k, budget))

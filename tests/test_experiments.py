@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import jigsolve
+from jigsolve import windows
 from jigsolve.gen import generate
 from jigsolve.grid import disassemble
 from jigsolve.rng import mix_seed
@@ -22,6 +24,18 @@ from jigsolve.experiments import (
     sweep,
     sweep_records,
 )
+
+
+@pytest.mark.parametrize("n, q, seed", [(30, 231, mix_seed(0x20260808, 0, 0)), (60, 3600, mix_seed(0x20260808, 0, 1))])
+def test_untraced_trial_builds_no_window_tuple(monkeypatch, n, q, seed):
+    # run_trial folds the enumeration's rows directly
+    expected = run_trial(n, q, 1, seed)
+
+    def refused(*args):
+        raise AssertionError("an untraced trial built window tuples")
+
+    monkeypatch.setattr(windows, "window_tuples", refused)
+    assert replace(run_trial(n, q, 1, seed), runtime_ms=0) == replace(expected, runtime_ms=0)
 
 
 def test_run_trial_deterministic():

@@ -7,12 +7,15 @@ from hypothesis import assume, example, given, settings, strategies
 
 from jigsolve.gen import generate
 from jigsolve.grid import (
+    RIGHT,
     STEPS,
+    UP,
     Assembly,
     PieceBag,
     disassemble,
     is_feasible,
     piece_at,
+    piece_colors,
     positions_row_major,
 )
 from jigsolve.oracle import (
@@ -166,6 +169,27 @@ def test_duplicates_with_unique_edge_assembly_exist():
             found = True
             break
     assert found
+
+
+def test_unique_edge_matches_a_per_edge_check():
+    # unique_edge, checked edge by edge on every feasible assembly: the piece
+    # at (i, j) shows the planted right color there unless i = n and the
+    # planted up color unless j = n
+    verdicts = set()
+    for n, q, seed in ((n, q, seed) for n in (2, 3) for q in (2, 3, 4) for seed in range(8)):
+        p = generate(n, q, seed=seed)
+        colors = piece_colors(p).tolist()
+        bag = PieceBag(n, q, piece_colors(p))
+        expected = all(
+            (i == n or colors[a.grid[j - 1, i - 1]][RIGHT] == colors[(j - 1) * n + i - 1][RIGHT])
+            and (j == n or colors[a.grid[j - 1, i - 1]][UP] == colors[(j - 1) * n + i - 1][UP])
+            for a in enumerate_feasible_assemblies(bag, limit=10**5)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        )
+        assert uniqueness_report(p, limit=10**5).unique_edge == expected, (n, q, seed)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_unique_vertex_implies_unique_edge():

@@ -4,7 +4,6 @@ import tracemalloc
 import weakref
 from collections import Counter
 from itertools import chain, count
-from types import GeneratorType
 
 import numpy as np
 import pytest
@@ -356,6 +355,36 @@ def test_aggregate_matches_per_window_fold(n, k, q_per_n, seed):
     assert got.windows.tolist() == [centers[pid] for pid in range(n * n)]
 
 
+def same_folds(a, b):
+    return same_candidates(a, b) and np.array_equal(a.unique, b.unique) and np.array_equal(a.multiple, b.multiple)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n, q", [(5, 5), (5, 8), (8, 12), (8, 20), (30, 84), (30, 231)])
+def test_row_fold_equals_tuple_fold(n, q, k):
+    # a fresh stream is folded from its rows; a list of its tuples, as the
+    # benchmark's tracer passes, through the tuple reader; a started stream
+    # folds only the windows it has not given yet, as a generator would
+    for seed in range(3):
+        bag, _ = disassemble(generate(n, q, seed), seed + 1)
+        tuples = list(enumerate_windows(bag, k))
+        from_rows = aggregate_candidates(n * n, enumerate_windows(bag, k))
+        assert same_folds(from_rows, aggregate_candidates(n * n, iter(tuples))), (n, q, k, seed)
+        started = enumerate_windows(bag, k)
+        next(started, None)
+        assert same_folds(aggregate_candidates(n * n, started), aggregate_candidates(n * n, iter(tuples[1:])))
+
+
+def test_row_fold_without_windows_and_over_budget():
+    bag, _ = disassemble(generate(3, 9, 0), 1)  # nine pieces hold no 5x5 window
+    for windows_of in (lambda: enumerate_windows(bag, 2), lambda: iter(list(enumerate_windows(bag, 2)))):
+        empty = aggregate_candidates(9, windows_of())
+        assert empty.stable.tolist() == [[-1] * 4] * 9 and empty.windows.tolist() == [0] * 9
+        assert not empty.unique.any() and not empty.multiple.any()
+    with pytest.raises(BudgetExceededError):
+        aggregate_candidates(9, enumerate_windows(bag, 1, budget=1))
+
+
 def test_aggregate_candidates_on_a_hand_built_stream():
     # k=1 windows given by their middle cell and its right, up, left and
     # down neighbors; the corners do not reach the fold
@@ -419,10 +448,19 @@ def test_perfbench_adapter_contract():
     kinds = Counter(st.kind for st in values)
     assert kinds["unique"] == got.unique.sum() and kinds["multiple"] == got.multiple.sum() > 0
     assert kinds["none"] == (got.windows == 0).sum() > 0
-    stream = enumerate_windows(bag, 1, budget=10**7)
-    assert isinstance(stream, GeneratorType)
+    # the tracer calls next on the stream and the oracle job loops over it:
+    # both give the rows' tuples in order, and the call itself is lazy
     rows = window_rows(bag, 1, budget=10**7)
-    assert [(wa.k, wa.cells) for wa in stream] == [(1, cells) for cells in map(tuple, rows.tolist())]
+    expected = [(1, cells) for cells in map(tuple, rows.tolist())]
+    stream = enumerate_windows(bag, 1, budget=10**7)
+    assert [(wa.k, wa.cells) for wa in iter(stream)] == expected
+    stream = enumerate_windows(bag, 1, budget=10**7)
+    assert [tuple(next(stream)) for _ in expected] == expected
+    with pytest.raises(StopIteration):
+        next(stream)
+    lazy = enumerate_windows(bag, 1, budget=1)
+    with pytest.raises(BudgetExceededError):
+        next(lazy)
     every = brute_force_window_rows(bag, 1)
     for center in range(n * n):
         brute = every[every[:, 4] == center]
