@@ -2,11 +2,27 @@
 
 A window is a (2k+1)-by-(2k+1) block of distinct pieces whose internal
 edges all match. Colors are ranked densely, and three indexes are built
-once per enumeration. Each is one sorted array of keys ``a * s + b`` of
-two ranks (s the number of ranks); each distinct key is kept once with
-the run of entries filed under it, and a key above every query closes
-the list with an empty run, so a lookup is one binary search and one
-equality test.
+once per enumeration. Each files its entries sorted, in runs under keys
+``a * s + b`` of two ranks (s the number of ranks), and closes them with
+an empty run, the run of every key not filed.
+
+A table is direct-addressed wherever it holds at most
+``_TABLE_PER_PIECE`` = 32 entries per piece. So a key is looked up by
+one gather from a table of s * s int32 entries, each key's run, when
+s * s is at most 32 N, and otherwise by one binary search in the
+distinct keys and one equality test. Colors are ranked by the same rule:
+a table over 0..max color marks the colors held, and each held color's
+place among them is its rank; else ``np.unique`` ranks them, the only
+way for colors up to 2^63 - 1. The bound was measured, not set from any
+q: filling a table costs less than sorting as many lookups up to about
+64-128 entries per piece, and 32 stays below that everywhere measured.
+At n = 30-300 on a 2-core host, ranking by a table takes 0.3-0.7 times
+as long as ``np.unique`` at 32 entries per piece and 0.6-1.3 times at
+128; a whole k=1 enumeration with key tables takes 0.6-0.7 times as
+long as with sorted lookups at 32, 0.75-1.0 times at 64, about 1.2
+times at 128 and 1.3-1.6 times at 256. The three key tables add at most
+3 * 4 B * 32 = 384 B per piece to an enumeration's memory; the ranking
+table, 5 B an entry, is freed before they are built.
 
 * singles: each piece under its (up, left) colors, ids ascending;
 * horizontal dominoes: each pair (p, r) of distinct pieces with
@@ -30,17 +46,18 @@ up by one color alone, which would multiply the rows by about N/q only
 for the next cell to divide them again.
 
 Partial windows grow one step at a time in numpy, held as one array
-per cell. Each step sorts its keys, searches them in increasing order
-and scatters the runs back, which is several times faster than searching
-them as they come. The walk is depth first, from an explicit stack: a
-step splits its parents into runs of about ``_CHUNK_ROWS`` candidate
-rows, and each run goes through every later step before the next run
-starts. So no step is held whole, only one extended run per step; the
-rows a step extends go once the last run cut from them is extended, and
-only finished windows are kept, joined once at the end. Parents keep
-their order and entries keep theirs, so the rows are lexicographic in
-cell order: the same rows, in the same order, as placing one cell at a
-time.
+per cell. Each step looks all its keys up at once: by one gather, or by
+sorting them, searching them in increasing order and scattering the
+runs back, which is several times faster than searching them as they
+come. The walk is depth first, from an explicit stack: a step splits
+its parents into runs of about ``_CHUNK_ROWS`` candidate rows, and each
+run goes through every later step before the next run starts, or stops
+as soon as it has no rows. So no step is held whole, only one extended
+run per step; the rows a step extends go once the last run cut from
+them is extended, and only finished windows are kept, joined once at
+the end. Parents keep their order and entries keep theirs, so the rows
+are lexicographic in cell order: the same rows, in the same order, as
+placing one cell at a time.
 
 The budget counts candidate rows before they are allocated: first both
 domino tables, each piece paired with every piece of its run (the
@@ -79,6 +96,9 @@ DEFAULT_BUDGET = 10**7
 
 #: Candidate rows of one run of parents, which the walk takes through every later step at once.
 _CHUNK_ROWS = 1 << 18
+
+#: Entries per piece up to which a color is ranked, and a key looked up, in a direct-address table.
+_TABLE_PER_PIECE = 32
 
 
 class BudgetExceededError(Exception):
@@ -146,10 +166,10 @@ def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     npieces = len(bag.colors)
     side = 2 * k + 1
     dtype = np.min_scalar_type(npieces)
+    tabled = _TABLE_PER_PIECE * npieces  # the most entries a direct-address table may hold
     # colors ranked densely, so that a key of two ranks fits int64 whatever q is
-    colors, ranks = np.unique(bag.colors, return_inverse=True)
-    ranks = ranks.reshape(npieces, 4)
-    stride = len(colors)
+    ranks, stride = _ranks(bag.colors, tabled)
+    dense = stride * stride <= tabled
     right, down = ranks[:, RIGHT], ranks[:, DOWN]
     # the same ranks in the smallest dtype, which numpy sorts stably by radix
     small = ranks.astype(np.min_scalar_type(stride - 1)).T
@@ -167,9 +187,9 @@ def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
     runs = [_color_runs(facing, small[faced], stride) for facing, faced in ((right, LEFT), (down, UP))]
     charge(sum(int(cnt.sum()) for _, _, cnt in runs))
     across, under = (_extend([ids], lo, cnt, (ids[by],)) for by, lo, cnt in runs)
-    single = _Index(small[UP], small[LEFT], (ids,), stride)
-    pairs = _Index(small[UP][across[0]], small[UP][across[1]], across, stride)
-    stacks = _Index(small[LEFT][under[0]], small[LEFT][under[1]], under, stride)
+    single = _Index(small[UP], small[LEFT], (ids,), stride, dense)
+    pairs = _Index(small[UP][across[0]], small[UP][across[1]], across, stride, dense)
+    stacks = _Index(small[LEFT][under[0]], small[LEFT][under[1]], under, stride, dense)
 
     # cells as (column, row), row 0 on top, in L-shells from the top-left
     cells: list[tuple[int, int]] = []
@@ -186,11 +206,13 @@ def window_rows(bag: PieceBag, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarr
         steps.append((pairs, down, slot[0, s - 1], down, slot[1, s - 1]))
         steps += [(single, down, slot[c, s - 1], right, slot[c - 1, s]) for c in range(2, s + 1)]
 
-    found: list[np.ndarray] = []
+    found = [np.empty((0, side * side), dtype)]
     stack: list[tuple[int, list[np.ndarray], np.ndarray, np.ndarray]] = []
 
     def split(t: int, cols: list[np.ndarray]) -> None:
         """Keep a finished run's windows, or push its parents' runs for step ``t``."""
+        if not len(cols[0]):
+            return  # no later step can grow a run with no rows
         if t == len(steps):
             assert len(cols) == side * side, "the steps must place every cell"
             found.append(np.stack([cols[slot[c, r]] for r in range(side) for c in range(side)], axis=1))
@@ -261,25 +283,51 @@ def window_tuples(k: int, rows: np.ndarray) -> Iterator[WindowAssembly]:
 
 class _Index:
     """Entries filed in runs under the key ``major * stride + minor`` of
-    two ranks, as the module describes; a run keeps its entries' order."""
+    two ranks, as the module describes; a run keeps its entries' order.
+    A ``dense`` index looks a key's run up in a table of every key,
+    ``run``; any other, by binary search in its sorted distinct keys."""
 
-    def __init__(self, major: np.ndarray, minor: np.ndarray, ids: tuple[np.ndarray, ...], stride: int):
+    def __init__(self, major: np.ndarray, minor: np.ndarray, ids: tuple[np.ndarray, ...], stride: int, dense: bool):
         order = np.argsort(minor, kind="stable")
         order = order[np.argsort(major[order], kind="stable")]
         keys = major[order].astype(np.int64) * stride + minor[order]
         self.ids = tuple(col[order] for col in ids)
         first = np.flatnonzero(np.diff(keys, prepend=-1))
-        self.key = np.append(keys[first], stride * stride)
         self.lo = np.append(first, len(keys))
         self.cnt = np.diff(self.lo, append=len(keys))
+        self.run = None
+        if dense:  # each key's run, or the closing empty one for a key not filed
+            self.run = np.full(stride * stride, len(first), dtype=np.int32)
+            self.run[keys[first]] = np.arange(len(first))
+        else:
+            self.key = np.append(keys[first], stride * stride)
 
     def runs(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Start and length of each key's run, empty for a key not filed."""
-        ranked = np.argsort(key)
-        at = np.empty_like(ranked)
-        at[ranked] = np.searchsorted(self.key, key[ranked])
-        at[self.key[at] != key] = len(self.key) - 1
+        if self.run is not None:
+            at = self.run[key]
+        else:
+            ranked = np.argsort(key)
+            at = np.empty_like(ranked)
+            at[ranked] = np.searchsorted(self.key, key[ranked])
+            at[self.key[at] != key] = len(self.key) - 1
         return self.lo[at], self.cnt[at]
+
+
+def _ranks(colors: np.ndarray, tabled: int) -> tuple[np.ndarray, int]:
+    """Each color's rank among the distinct colors, and their number: by
+    a table over ``0..max`` of the colors held when it has at most
+    ``tabled`` entries, else by sorting."""
+    top = int(colors.max())
+    if top >= tabled:
+        distinct, ranks = np.unique(colors, return_inverse=True)
+        return ranks.reshape(colors.shape), len(distinct)
+    held = np.zeros(top + 1, dtype=bool)
+    held[colors] = True
+    distinct = np.flatnonzero(held)  # several times faster than a running sum over the table
+    rank = np.empty(top + 1, dtype=np.int32)
+    rank[distinct] = np.arange(len(distinct))
+    return rank[colors].astype(np.int64), len(distinct)
 
 
 def _color_runs(facing: np.ndarray, faced: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies
 
 from jigsolve import windows
 from jigsolve.gen import generate
-from jigsolve.grid import DOWN, LEFT, RIGHT, STEPS, UP, PieceBag, disassemble
+from jigsolve.grid import DOWN, LEFT, MAX_Q, RIGHT, STEPS, UP, PieceBag, disassemble, piece_colors
 from jigsolve.oracle import brute_force_window_rows, brute_force_windows
 from jigsolve.windows import (
     BudgetExceededError,
@@ -538,3 +538,114 @@ def test_extended_runs_release_their_parents(monkeypatch):
     bag, _ = disassemble(generate(20, 40, 0), 1)
     assert len(window_rows(bag, 2)) == 1348
     assert checks == 14  # 16 steps of one run each, checked from the third
+
+
+def test_empty_runs_stop_early(monkeypatch):
+    # the whole board as one window, on a bag in planted order: with runs of
+    # 2^10 candidate rows the widest steps split into many runs, most of
+    # which run out of rows long before the last step. Such a run stops
+    # there; the walk used to take it through every later step, 6228
+    # extensions here. The one row and the exact budget are unchanged.
+    n, q = 15, 30
+    bag = PieceBag(n, q, piece_colors(generate(n, q, 0)))
+    calls = 0
+    extend = windows._extend
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+
+    monkeypatch.setattr(windows, "_extend", counted)
+    monkeypatch.setattr(windows, "_CHUNK_ROWS", 1 << 10)
+    rows = window_rows(bag, 7, 132_555)
+    assert calls == 2536
+    assert rows.tolist() == [np.arange(n * n).reshape(n, n)[::-1].ravel().tolist()]
+    with pytest.raises(BudgetExceededError):
+        window_rows(bag, 7, 132_554)
+    # nothing survives on a board narrower than the window
+    rows = window_rows(PieceBag(4, q, piece_colors(generate(4, q, 0))), 2)
+    assert rows.shape == (0, 25) and rows.dtype == np.uint8
+
+
+@pytest.mark.parametrize("n", (4, 8, 20, 30))
+def test_tables_equal_sorting(monkeypatch, n):
+    # at _TABLE_PER_PIECE = 0 every color is ranked by np.unique and every
+    # key looked up sorted; the default takes tables where they are small
+    per_piece = windows._TABLE_PER_PIECE
+    tabled = []
+    init = windows._Index.__init__
+
+    def recorded(index, *args):
+        init(index, *args)
+        tabled.append(index.run is not None)
+
+    monkeypatch.setattr(windows._Index, "__init__", recorded)
+    verdicts, dense = set(), set()
+    for q in (1, 2, 4, 16, 84, 231, 3600, 10**6, 2**62):
+        bag, _ = disassemble(generate(n, q, 0), 1)
+        small = len(np.unique(bag.colors)) ** 2 <= per_piece * n * n
+        for k in (1, 2):
+            got = []
+            for table in (per_piece, 0):
+                monkeypatch.setattr(windows, "_TABLE_PER_PIECE", table)
+                tabled.clear()
+                try:
+                    rows = window_rows(bag, k, 3 * 10**5)
+                    got.append((rows.shape, rows.dtype, rows.tobytes()))
+                except BudgetExceededError:
+                    got.append("over budget")
+                assert set(tabled) <= {table > 0 and small}, (q, k, table)
+                dense.update(tabled)
+            assert got[0] == got[1], (q, k)
+            verdicts.add(got[0] == "over budget")
+    assert verdicts == dense == {True, False}
+
+
+def test_colors_past_the_table_rank_by_sorting(monkeypatch):
+    # spread or shifted, the colors keep their order and so their ranks, and
+    # the rows stay those of the bag. A table over 0..max of 32 entries per
+    # piece, 2048 at n=8, ranks colors up to 2047; larger ones go through
+    # np.unique, up to MAX_Q, over which no table could be allocated
+    bag, _ = disassemble(generate(8, 16, 0), 1)
+    assert bag.colors.max() == 16 and windows._TABLE_PER_PIECE * 64 == 2048
+    rows = {k: window_rows(bag, k) for k in (1, 2)}
+    sorts = 0
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        nonlocal sorts
+        sorts += 1
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    for colors, by_sorting in ((bag.colors * 127, 0), (bag.colors * 128, 1), (bag.colors + (MAX_Q - 16), 1)):
+        far = PieceBag(8, int(colors.max()), colors)
+        for k in (1, 2):
+            before = sorts
+            assert np.array_equal(window_rows(far, k), rows[k])
+            assert sorts - before == by_sorting, (colors.max(), k)
+
+
+def test_tables_bound_memory(monkeypatch):
+    # 169^2 <= 32 * 900 < 170^2, so the three key tables are as large as the
+    # rule allows; with colors spread 170 apart, so is the ranking table.
+    # They add at most three int32 tables of 32 entries per piece to the
+    # peak of ranking by sorting and looking keys up sorted.
+    n, q = 30, 169
+    per_piece = windows._TABLE_PER_PIECE
+    assert q * q <= per_piece * n * n < (q + 1) ** 2
+    assert q * 170 < per_piece * n * n
+    bag, _ = disassemble(generate(n, q, 0), 1)
+    for spread in (1, 170):
+        wide = PieceBag(n, q * spread, bag.colors * spread)
+        peaks = []
+        for table in (per_piece, 0):
+            monkeypatch.setattr(windows, "_TABLE_PER_PIECE", table)
+            tracemalloc.start()
+            try:
+                window_rows(wide, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] + 3 * 4 * per_piece * n * n, spread
