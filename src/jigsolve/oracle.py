@@ -1,7 +1,8 @@
 """Brute-force ground truth at tiny scale.
 
 Everything here is deliberately naive: no color index, no chain seeding.
-Windows and whole-board assemblies are both the square blocks of one
+Windows, whole-board assemblies and the rotation variant's assemblies
+(``variant.brute_force_variant_solve``) are all the square blocks of one
 numpy pass over the block's cells in row-major order, depth first over
 slices of partial blocks, pruned only by direct color comparison with
 the left and upper neighbors. The point is an independent reference for
@@ -77,27 +78,34 @@ def _assembly_rows(bag: PieceBag, limit: int) -> np.ndarray:
     """The ids of every feasible assembly, one row each, read row by row from (1, 1), rows ascending."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    return _blocks(bag.colors[:, [RIGHT, DOWN, LEFT, UP]], bag.n, limit)
+    return _blocks(bag.colors[:, None, [RIGHT, DOWN, LEFT, UP]], bag.n, limit)
 
 
 def _blocks(colors: np.ndarray, side: int, limit: int | None = None) -> np.ndarray:
-    """Every square block of distinct pieces, one row each, that matches on
-    every internal edge, cells row-major with the top row first, rows ascending.
+    """Every square block of keys that matches on every internal edge,
+    one row each, cells row-major with the top row first, rows ascending.
 
-    ``colors`` holds each piece's (right, up, left, down). Each cell in
-    row-major order extends a partial block by every piece that matches
-    its left and upper neighbors by direct color comparison and is not yet
-    in the block. The walk is depth first over slices of at most
-    ``_FITS_ENTRIES`` (partial block, piece) entries, from a stack holding
-    at most one slice per cell, so finished rows come in ascending order.
-    Raises :class:`LimitExceededError` once it holds more than ``limit``
-    rows. The cost is O(partial blocks x pieces) per cell: tiny n only.
+    ``colors[piece, turn]`` holds a piece's (right, up, left, down) with
+    that many turns: key ``x`` is piece ``x // turns`` turned ``x % turns``
+    times. A block holds each piece at most once, whatever its turn, and
+    piece 0 only unturned, which pins the block's orientation; with one
+    turn a key is a piece id. Each cell in row-major order extends a
+    partial block by every key that matches its left and upper neighbors
+    by direct color comparison and whose piece is not yet in the block.
+    The walk is depth first over slices of at most ``_FITS_ENTRIES``
+    (partial block, key) entries, from a stack holding at most one slice
+    per cell, so finished rows come in ascending order. Raises
+    :class:`LimitExceededError` once it holds more than ``limit`` rows.
+    The cost is O(partial blocks x keys) per cell: tiny n only.
     """
-    right, up, left, down = colors.T
-    npieces, cells = len(colors), side * side
-    # ids in the smallest dtype that holds them keep the partial blocks small
-    dtype = np.min_scalar_type(npieces)
-    step = max(1, _FITS_ENTRIES // npieces)
+    npieces, turns = colors.shape[:2]
+    right, up, left, down = colors.reshape(-1, 4).T
+    keys, cells = npieces * turns, side * side
+    # keys in the smallest dtype that holds them keep the partial blocks small
+    dtype = np.min_scalar_type(keys)
+    step = max(1, _FITS_ENTRIES // keys)
+    first = np.ones((1, keys), dtype=bool)
+    first[0, 1:turns] = False  # piece 0 only unturned
     done, held = [np.empty((0, cells), dtype=dtype)], 0
     stack = [np.empty((1, 0), dtype=dtype)]  # the next cell of a slice is its width
     while stack:
@@ -112,15 +120,19 @@ def _blocks(colors: np.ndarray, side: int, limit: int | None = None) -> np.ndarr
         if len(rows) > step:
             stack.append(rows[step:])  # the later partial blocks wait below this slice's extensions
             rows = rows[:step]
-        fits = np.ones((len(rows), npieces), dtype=bool)
+        fits = first.repeat(len(rows), axis=0)
         if cell % side:
             fits &= right[rows[:, cell - 1], None] == left
         if cell >= side:
             fits &= down[rows[:, cell - side], None] == up
-        fits[np.arange(len(rows))[:, None], rows] = False  # pieces already in the block
-        parent, piece = np.nonzero(fits)  # by parent, then by piece id: the order stays ascending
+        blocks = np.arange(len(rows))[:, None]
+        if turns == 1:
+            fits[blocks, rows] = False  # pieces already in the block
+        else:
+            fits.reshape(len(rows), npieces, turns)[blocks, rows // turns] = False  # every turn of them
+        parent, key = np.nonzero(fits)  # by parent, then by key: the order stays ascending
         if len(parent):
-            stack.append(np.column_stack((rows[parent], piece.astype(dtype))))
+            stack.append(np.column_stack((rows[parent], key.astype(dtype))))
     return np.concatenate(done)
 
 
@@ -129,7 +141,7 @@ def brute_force_window_rows(bag: PieceBag, k: int = 1) -> np.ndarray:
     the blocks of side 2k+1."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _blocks(bag.colors, 2 * k + 1)
+    return _blocks(bag.colors[:, None], 2 * k + 1)
 
 
 # keyed by identity, as PieceBag is; holding the last bag keeps its id from being reused

@@ -30,7 +30,11 @@ from typing import TextIO
 import numpy as np
 
 from .grid import DOWN, LEFT, RIGHT, UP, Puzzle, check_n_q, color_array, read_header, write_rows
-from .oracle import DEFAULT_LIMIT, LimitExceededError
+from .oracle import DEFAULT_LIMIT, LimitExceededError, _blocks
+
+#: ``_TURNED_SLOTS[t, d]`` is the slot a piece turned t times shows on side d.
+_TURNED_SLOTS = (np.arange(4) - np.arange(4)[:, None]) % 4
+_TURNED_SLOTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,7 @@ def rotate_piece(colors: tuple[int, int, int, int], turns: int) -> tuple[int, in
     One turn sends the Right jig to the Up position, Up to Left, Left to
     Down, and Down to Right.
     """
-    t = turns % 4
-    return tuple(colors[(i - t) % 4] for i in range(4))  # type: ignore[return-value]
+    return tuple(colors[d] for d in _TURNED_SLOTS[turns % 4].tolist())  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +168,7 @@ def is_feasible_rot_assembly(vp: VariantPuzzle, a: RotAssembly) -> bool:
         raise ValueError("turns must be in 0..3")
     if turns[home == 0].any():
         raise ValueError("the piece homed at (1, 1) must keep the identity rotation")
-    slots = (np.arange(4) - turns[..., None]) % 4
-    return _coupled(vp.iota, vp.sigma.reshape(-1, 4)[home[..., None], slots])
+    return _coupled(vp.iota, vp.sigma.reshape(-1, 4)[home[..., None], _TURNED_SLOTS[turns]])
 
 
 def brute_force_variant_solve(
@@ -176,52 +178,31 @@ def brute_force_variant_solve(
 ) -> list[RotAssembly]:
     """Exhaustively enumerate feasible rotated assemblies of a tiny puzzle.
 
-    Locations are filled in canonical row-major order, trying homes in
-    row-major order and turns ascending, and pruning against the already
-    placed left and lower neighbors. ``boundary_fixed`` restricts to
+    They are the blocks of side n over the keys ``4 * home + turns``:
+    every key is tried at every position in row-major order and compared
+    directly with the placed left and lower neighbors, so assemblies come
+    in ascending order of their keys. ``boundary_fixed`` restricts to
     assemblies that map internal edges to internal edges (the usual
-    jigsaw sub-model where boundary pieces stay on the boundary).
+    jigsaw sub-model where boundary pieces stay on the boundary). Raises
+    :class:`LimitExceededError` when more than ``limit`` exist.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    n, num, table = vp.n, vp.n**2, vp.iota.table.tolist()
-    results: list[RotAssembly] = []
-
-    # keyed 4 * home + t: the slot colors of each home turned t times and
-    # whether each of its slots faces the board; ``inner`` is that per location
-    rotated = [rotate_piece(piece, t) for piece in vp.sigma.reshape(-1, 4).tolist() for t in range(4)]
-    row, col = np.divmod(np.arange(num), n)
-    inner = np.stack([col < n - 1, row < n - 1, col > 0, row > 0], axis=1).tolist()
-    inner_turned = [rotate_piece(sides, t) for sides in inner for t in range(4)]
-    chosen, used = [0] * num, [False] * num
-
-    def fits(idx: int, key: int) -> bool:
-        cols = rotated[key]
-        if idx % n and rotated[chosen[idx - 1]][RIGHT] != table[cols[LEFT]]:
-            return False
-        if idx >= n and rotated[chosen[idx - n]][UP] != table[cols[DOWN]]:
-            return False
-        # every internal edge of the location must map to an internal piece edge
-        return not boundary_fixed or all(p or not v for v, p in zip(inner[idx], inner_turned[key]))
-
-    def search(idx: int) -> None:
-        if idx == num:
-            results.append(RotAssembly(*np.divmod(np.reshape(chosen, (n, n)), 4)))
-            if len(results) > limit:
-                raise LimitExceededError(limit)
-            return
-        for h in range(num):
-            if used[h]:
-                continue
-            for key in range(4 * h, 4 * h + (4 if h else 1)):
-                if fits(idx, key):
-                    used[h] = True
-                    chosen[idx] = key
-                    search(idx + 1)
-                    used[h] = False
-
-    search(0)
-    return results
+    n, pieces = vp.n, vp.sigma.reshape(-1, 4)
+    # each home's slot colors as they are and through the involution, so that
+    # an internal edge matches when the two colors facing across it are equal
+    colors = np.stack([pieces, vp.iota.table[pieces]])
+    if boundary_fixed:
+        # a distinct negative color on each slot on its home's boundary matches
+        # nothing, so that slot can only face the board's edge
+        row, col = np.divmod(np.arange(n * n), n)
+        edge = np.stack([col == n - 1, row == n - 1, col == 0, row == 0], axis=1)
+        colors = np.where(edge, -1 - np.arange(edge.size).reshape(edge.shape), colors)
+    plain, coupled = colors[:, :, _TURNED_SLOTS]  # [home, turns, side]
+    # a block's rows run downward and the board's upward, so up and down swap
+    turned = np.stack([plain[..., RIGHT], coupled[..., DOWN], coupled[..., LEFT], plain[..., UP]], axis=-1)
+    home, turns = np.divmod(_blocks(turned, n, limit).reshape(-1, n, n), 4)
+    return [RotAssembly(h, t) for h, t in zip(home, turns)]
 
 
 def to_base_puzzle(vp: VariantPuzzle) -> Puzzle:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -185,7 +186,7 @@ def test_boundary_fixed_subset():
         unrestricted = brute_force_variant_solve(vp, limit=10**5)
         restricted = brute_force_variant_solve(vp, limit=10**5, boundary_fixed=True)
         assert {_key(a) for a in restricted} <= {_key(a) for a in unrestricted}
-        # the search's rotate_piece path agrees with the vectorised slot gather
+        # every assembly the solve lists passes the independent feasibility check
         for a in unrestricted:
             assert is_feasible_rot_assembly(vp, a)
 
@@ -201,6 +202,51 @@ def test_identity_involution_matches_base_model():
             a.home.tobytes() for a in brute_force_variant_solve(vp, limit=10**5) if not a.turns.any()
         }
         assert variant_assemblies == base_assemblies
+
+
+def _rim_respected(n: int, a: RotAssembly) -> bool:
+    """True iff every internal edge of the board meets a slot that faced
+    another piece at its piece's home, not the board's edge."""
+
+    def internal(row: int, col: int, side: int) -> bool:
+        return (col < n - 1, row < n - 1, col > 0, row > 0)[side]
+
+    for (row, col), home in np.ndenumerate(a.home):
+        turns = a.turns[row, col]
+        for side in range(4):
+            # turned t times, the piece shows at ``side`` its home slot (side - t) % 4
+            if internal(row, col, side) and not internal(*divmod(home, n), (side - turns) % 4):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("boundary_fixed", [False, True], ids=["free", "boundary-fixed"])
+@pytest.mark.parametrize("kind", ["identity", "pairing"])
+def test_solve_equals_filtered_exhaustion(kind, boundary_fixed):
+    # every permutation of homes with every turning that keeps home 0 unturned,
+    # filtered through is_feasible_rot_assembly, sorted into the solver's order:
+    # ascending 4 * home + turns, position by position in row-major order
+    for n, q, seed in itertools.product((1, 2), (1, 2, 3), range(3)):
+        vp = generate_variant(n, q, make_involution(q, kind), seed)
+        expected = []
+        for homes in itertools.permutations(range(n * n)):
+            for turns in itertools.product(range(4), repeat=n * n):
+                if turns[homes.index(0)]:
+                    continue
+                a = RotAssembly(np.reshape(homes, (n, n)), np.reshape(turns, (n, n)))
+                if is_feasible_rot_assembly(vp, a) and (not boundary_fixed or _rim_respected(n, a)):
+                    expected.append(a)
+        expected.sort(key=lambda a: (4 * a.home + a.turns).ravel().tolist())
+        solved = brute_force_variant_solve(vp, limit=10**5, boundary_fixed=boundary_fixed)
+        assert [_key(a) for a in solved] == [_key(a) for a in expected], (n, q, seed)
+
+
+def test_deep_board_solves():
+    # 1024 cells: a search level per cell would pass Python's recursion limit
+    q = 10**6
+    vp = generate_variant(32, q, make_involution(q, "pairing"), seed=0)
+    (solved,) = brute_force_variant_solve(vp)
+    assert _key(solved) == _key(identity_assembly(32))
 
 
 def test_to_base_puzzle_requires_identity():
